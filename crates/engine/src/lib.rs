@@ -26,15 +26,21 @@
 //! - **observability** — every stage (load, parse, diff, heartbeat,
 //!   measure, stats) records wall-time spans and item counters into a
 //!   [`Metrics`] snapshot that `coevo study --profile` prints;
-//! - **determinism** — work fans out over a crossbeam work-stealing pool
-//!   with bounded channels, but results are re-assembled in input order, so
-//!   parallel output is byte-identical to the sequential path.
+//! - **determinism** — work fans out over `std::thread::scope` workers
+//!   that claim items from one shared atomic cursor, and results are stored
+//!   by item index, so parallel output is byte-identical to the sequential
+//!   path.
+//!
+//! [`StudyRunner::run`] and [`StudyRunner::run_streamed`] share one batch
+//! loop: `run` admits the whole source at once and keeps every project's
+//! data, `run_streamed` admits bounded batches and keeps only the measures.
 
 #![warn(missing_docs)]
 
 pub mod allocs;
 mod error;
 pub mod incremental;
+mod load;
 mod metrics;
 pub mod pipeline;
 mod runner;
@@ -48,4 +54,4 @@ pub use incremental::{
 };
 pub use metrics::{Metrics, MetricsSnapshot, StageMetrics, StoreEvent, StoreMetrics};
 pub use runner::{EngineReport, Source, StudyConfig, StudyRunner, DEFAULT_BATCH};
-pub use streamed::{MeasureFold, StreamedReport};
+pub use streamed::StreamedReport;

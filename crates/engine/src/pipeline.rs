@@ -2,44 +2,31 @@
 //! parse → diff → heartbeat → measure, with per-stage [`Metrics`] spans and
 //! [`EngineError`] failures that keep the underlying parser error.
 //!
-//! This is the structured replacement for the stringly-typed entry points in
-//! [`coevo_corpus::pipeline`], which remain as deprecated shims.
+//! This is the structured counterpart of the stringly-typed entry points in
+//! [`coevo_corpus::pipeline`], which the on-disk loader, the CLI and the
+//! tests still use for single projects outside the engine.
 
 use crate::allocs;
 use crate::error::{EngineError, EngineErrorKind, Stage};
 use crate::metrics::Metrics;
 use coevo_core::{ProjectData, ProjectMeasures};
-use coevo_corpus::GeneratedProject;
-use coevo_ddl::{Dialect, ParseCache};
+use coevo_corpus::{GeneratedProject, ProjectArtifacts};
+use coevo_ddl::ParseCache;
 use coevo_diff::{MatchPolicy, SchemaHistory, SchemaVersion};
-use coevo_heartbeat::DateTime;
-use coevo_taxa::{Taxon, TaxonomyConfig};
+use coevo_taxa::TaxonomyConfig;
 use coevo_vcs::{monthly::project_heartbeat, parse_log};
 use std::time::Instant;
-
-/// One unit of work for the engine's pool: a project's raw artifacts plus
-/// its position in the corpus (results are re-assembled in input order, so
-/// parallel output is identical to sequential output).
-#[derive(Debug, Clone)]
-pub(crate) struct WorkItem {
-    pub index: usize,
-    pub name: String,
-    pub git_log: String,
-    pub ddl_versions: Vec<(DateTime, String)>,
-    pub dialect: Dialect,
-    pub taxon: Option<Taxon>,
-}
 
 /// Run parse → diff → heartbeat → measure on one project's raw artifacts,
 /// recording per-stage spans into `metrics`.
 pub(crate) fn process(
-    item: &WorkItem,
+    project: &ProjectArtifacts,
     cfg: &TaxonomyConfig,
     policy: MatchPolicy,
     metrics: &Metrics,
 ) -> Result<(ProjectData, ProjectMeasures), EngineError> {
     let fail = |stage: Stage, kind: EngineErrorKind| EngineError {
-        project: item.name.clone(),
+        project: project.name.clone(),
         stage,
         kind,
     };
@@ -49,17 +36,17 @@ pub(crate) fn process(
     // parse once and share one `Arc<Schema>`.
     let a = allocs::snapshot();
     let t = Instant::now();
-    let repo =
-        parse_log(&item.git_log).map_err(|e| fail(Stage::Parse, EngineErrorKind::GitLog(e)))?;
+    let repo = parse_log(&project.git_log)
+        .map_err(|e| fail(Stage::Parse, EngineErrorKind::GitLog(e)))?;
     let mut cache = ParseCache::new();
-    let mut versions = Vec::with_capacity(item.ddl_versions.len());
-    for (date, text) in &item.ddl_versions {
+    let mut versions = Vec::with_capacity(project.ddl_versions.len());
+    for (date, text) in &project.ddl_versions {
         let schema = cache
-            .parse(text, item.dialect)
+            .parse(text, project.dialect)
             .map_err(|e| fail(Stage::Parse, EngineErrorKind::Ddl(e)))?;
         versions.push(SchemaVersion { date: *date, schema });
     }
-    metrics.record(Stage::Parse, t.elapsed(), 1 + item.ddl_versions.len() as u64);
+    metrics.record(Stage::Parse, t.elapsed(), 1 + project.ddl_versions.len() as u64);
     metrics.record_cache(Stage::Parse, cache.hits(), cache.misses());
     metrics.record_allocs(Stage::Parse, allocs::snapshot().since(a));
 
@@ -83,8 +70,8 @@ pub(crate) fn process(
     metrics.record(Stage::Heartbeat, t.elapsed(), 2);
     metrics.record_allocs(Stage::Heartbeat, allocs::snapshot().since(a));
 
-    let mut data = ProjectData::new(&item.name, project_hb, schema_hb, birth_activity);
-    if let Some(taxon) = item.taxon {
+    let mut data = ProjectData::new(&project.name, project_hb, schema_hb, birth_activity);
+    if let Some(taxon) = project.taxon {
         data = data.with_taxon(taxon);
     }
 
@@ -98,52 +85,45 @@ pub(crate) fn process(
     Ok((data, measures))
 }
 
-/// Run the typed pipeline on raw textual artifacts: a git log dump and a
-/// dated DDL version sequence. The structured counterpart of
-/// [`coevo_corpus::pipeline::project_from_texts`].
-pub fn project_from_texts(
-    name: &str,
-    git_log: &str,
-    ddl_versions: &[(DateTime, String)],
-    dialect: Dialect,
-) -> Result<ProjectData, EngineError> {
-    let item = WorkItem {
-        index: 0,
-        name: name.to_string(),
-        git_log: git_log.to_string(),
-        ddl_versions: ddl_versions.to_vec(),
-        dialect,
-        taxon: None,
-    };
-    process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
-        .map(|(data, _)| data)
-}
-
 /// Run the typed pipeline on one generated project, attaching the
 /// generator's taxon label.
 pub fn project_from_generated(p: &GeneratedProject) -> Result<ProjectData, EngineError> {
-    let item = WorkItem {
-        index: 0,
-        name: p.raw.name.clone(),
-        git_log: p.git_log.clone(),
-        ddl_versions: p.raw.ddl_versions.clone(),
-        dialect: p.raw.dialect,
-        taxon: Some(p.raw.taxon),
-    };
-    process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
+    let project = ProjectArtifacts::from_generated(p);
+    process(&project, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
         .map(|(data, _)| data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{StudyConfig, StudyRunner};
     use coevo_corpus::{generate_corpus, CorpusSpec};
+    use coevo_ddl::Dialect;
+    use coevo_heartbeat::DateTime;
 
     const GOOD_LOG: &str =
         "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n";
 
     fn dt(s: &str) -> DateTime {
         DateTime::parse(s).unwrap()
+    }
+
+    fn artifacts(git_log: &str, ddl_versions: &[(DateTime, String)]) -> ProjectArtifacts {
+        ProjectArtifacts {
+            name: "x/y".into(),
+            taxon: None,
+            dialect: Dialect::Generic,
+            ddl_versions: ddl_versions.to_vec(),
+            git_log: git_log.into(),
+        }
+    }
+
+    /// One project through the engine's single-project entry point.
+    fn run_project(
+        git_log: &str,
+        ddl_versions: &[(DateTime, String)],
+    ) -> Result<(ProjectData, ProjectMeasures), EngineError> {
+        StudyRunner::new(StudyConfig::default()).run_project(&artifacts(git_log, ddl_versions))
     }
 
     #[test]
@@ -169,21 +149,17 @@ mod tests {
     #[test]
     fn inactive_versions_hit_the_parse_and_diff_caches() {
         let same = "CREATE TABLE t (a INT);".to_string();
-        let item = WorkItem {
-            index: 0,
-            name: "x/y".into(),
-            git_log: GOOD_LOG.to_string(),
-            ddl_versions: vec![
+        let project = artifacts(
+            GOOD_LOG,
+            &[
                 (dt("2020-01-01 00:00:00 +0000"), same.clone()),
                 (dt("2020-02-01 00:00:00 +0000"), same.clone()),
                 (dt("2020-03-01 00:00:00 +0000"), same),
                 (dt("2020-04-01 00:00:00 +0000"), "CREATE TABLE t (a INT, b INT);".into()),
             ],
-            dialect: Dialect::Generic,
-            taxon: None,
-        };
+        );
         let metrics = Metrics::new();
-        process(&item, &TaxonomyConfig::default(), MatchPolicy::ByName, &metrics)
+        process(&project, &TaxonomyConfig::default(), MatchPolicy::ByName, &metrics)
             .expect("pipeline");
         let snap = metrics.snapshot(1);
         let parse = snap.stage(Stage::Parse).unwrap();
@@ -203,7 +179,7 @@ mod tests {
             (dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string()),
             (dt("2020-02-01 00:00:00 +0000"), "CREATE TABLE t (a INT".to_string()),
         ];
-        let err = project_from_texts("x/y", GOOD_LOG, &versions, Dialect::Generic).unwrap_err();
+        let err = run_project(GOOD_LOG, &versions).unwrap_err();
         assert_eq!(err.stage, Stage::Parse);
         let EngineErrorKind::Ddl(parse) = &err.kind else {
             panic!("expected Ddl kind, got {:?}", err.kind)
@@ -216,28 +192,21 @@ mod tests {
     fn truncated_git_log_fails_at_parse() {
         let versions =
             vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-        let err = project_from_texts(
-            "x/y",
-            "commit abcdef\nAuthor: A <a@b.c>\n",
-            &versions,
-            Dialect::Generic,
-        )
-        .unwrap_err();
+        let err = run_project("commit abcdef\nAuthor: A <a@b.c>\n", &versions).unwrap_err();
         assert_eq!(err.stage, Stage::Parse);
         assert!(matches!(err.kind, EngineErrorKind::GitLog(_)));
     }
 
     #[test]
     fn empty_inputs_fail_with_empty_kind() {
-        let err = project_from_texts("x/y", GOOD_LOG, &[], Dialect::Generic).unwrap_err();
+        let err = run_project(GOOD_LOG, &[]).unwrap_err();
         assert_eq!(err.stage, Stage::Diff);
         assert_eq!(err.kind, EngineErrorKind::Empty("schema history"));
 
         let merge_only = "commit abc\nMerge: 1 2\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    Merge\n\n";
         let versions =
             vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-        let err =
-            project_from_texts("x/y", merge_only, &versions, Dialect::Generic).unwrap_err();
+        let err = run_project(merge_only, &versions).unwrap_err();
         assert_eq!(err.stage, Stage::Heartbeat);
         assert_eq!(err.kind, EngineErrorKind::Empty("repository"));
     }

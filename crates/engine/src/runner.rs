@@ -1,31 +1,34 @@
-//! The staged execution engine behind the [`StudyRunner`] builder API.
+//! The execution engine behind the [`StudyRunner`] builder API.
 //!
-//! A run proceeds through the stages of [`crate::Stage`]:
+//! [`StudyRunner::run`] and [`StudyRunner::run_streamed`] are thin entry
+//! points over one batch loop, which passes each admission batch through
+//! the stages of [`crate::Stage`]:
 //!
-//! 1. **load** — materialize raw artifacts (generate the corpus, or read
-//!    manifests + files from disk);
-//! 2. **parse / diff / heartbeat / measure** — the per-project pipeline,
-//!    fanned out over a crossbeam work-stealing worker pool. Items are
-//!    dealt round-robin into per-worker deques; idle workers steal from
-//!    their peers, and finished results flow through a bounded channel to
-//!    an order-preserving collector (so parallel output is byte-identical
-//!    to sequential output);
-//! 3. **stats** — figures and Section-7 statistics over the survivors.
+//! 1. **load** — `load::Batches` materializes the next batch of
+//!    raw artifacts (generate, read project directories or a shard, or
+//!    slice an in-memory vector);
+//! 2. **store / parse / diff / heartbeat / measure** — the per-project
+//!    pipeline, run on a pool of `std::thread::scope` workers that claim
+//!    item indices from one shared atomic cursor. Results are stored by
+//!    index, so parallel output is byte-identical to sequential output;
+//! 3. **stats** — figures and Section-7 statistics over the survivors'
+//!    measures, once, after the last batch.
 //!
-//! A project whose artifacts are corrupt is demoted to a structured
-//! [`ProjectFailure`] under the default [`FailurePolicy::CollectAndContinue`]
-//! — the study completes on the survivors instead of aborting.
+//! `run` admits the whole source as one batch (a sharded source one shard
+//! per batch) and keeps every survivor's [`ProjectData`]; `run_streamed`
+//! caps each batch and keeps only the measures. A project whose artifacts
+//! are corrupt is demoted to a structured [`ProjectFailure`] under the
+//! default [`FailurePolicy::CollectAndContinue`] — the study completes on
+//! the survivors instead of aborting.
 
 use crate::error::{EngineError, EngineErrorKind, FailurePolicy, ProjectFailure, Stage};
+use crate::load::Batches;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pipeline::{process, WorkItem};
+use crate::pipeline::process;
 use crate::store_stage::{process_with_store, store_config_hash, StoreContext};
 use coevo_core::{ProjectData, ProjectMeasures, StudyResults};
-use coevo_corpus::loader::Manifest;
 use coevo_corpus::{CorpusSpec, ProjectArtifacts};
-use coevo_ddl::Dialect;
 use coevo_diff::MatchPolicy;
-use coevo_heartbeat::DateTime;
 use coevo_taxa::TaxonomyConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,9 +50,10 @@ pub enum Source {
     InMemory(Vec<ProjectArtifacts>),
     /// A sharded corpus directory (`corpus.json` + `shards/*.csh`, written
     /// by `coevo corpus gen`). Projects run in *global* corpus order (shard
-    /// `start` offsets, not manifest entry order). [`StudyRunner::run`]
-    /// loads all shards eagerly; [`StudyRunner::run_streamed`] admits one
-    /// shard at a time for O(shard) peak memory.
+    /// `start` offsets, not manifest entry order), one shard per batch.
+    /// [`StudyRunner::run`] keeps every project's data;
+    /// [`StudyRunner::run_streamed`] drops it after each batch for
+    /// O(shard) peak memory.
     Sharded(PathBuf),
 }
 
@@ -75,9 +79,6 @@ pub struct StudyConfig {
     /// paper's accounting; `RenameDetection` pairs ejected/injected columns
     /// with the scored matcher and emits `Renamed` changes instead.
     pub match_policy: MatchPolicy,
-    /// Capacity of the bounded result channel between the worker pool and
-    /// the collector (backpressure bound).
-    pub channel_capacity: usize,
     /// Root directory of the content-addressed result store; `None` runs
     /// store-less. With a store, every project's result is looked up by
     /// input digest before the pipeline runs and published after a miss.
@@ -86,7 +87,8 @@ pub struct StudyConfig {
     /// [`StudyRunner::run_streamed`] run: each admission batch is at most
     /// this many projects. `0` picks the natural unit — one shard for
     /// [`Source::Sharded`], [`DEFAULT_BATCH`] projects for the other
-    /// sources. Ignored by the eager [`StudyRunner::run`] path.
+    /// sources. Ignored by [`StudyRunner::run`], whose batches are
+    /// unbounded (one shard each for a sharded source).
     pub max_resident_projects: usize,
 }
 
@@ -101,7 +103,6 @@ impl Default for StudyConfig {
             failure_policy: FailurePolicy::default(),
             taxonomy: TaxonomyConfig::default(),
             match_policy: MatchPolicy::ByName,
-            channel_capacity: 32,
             store_dir: None,
             max_resident_projects: 0,
         }
@@ -182,59 +183,16 @@ impl StudyRunner {
         &self.config
     }
 
-    /// Run the full study over `source`.
+    /// Run the full study over `source`, keeping every survivor's
+    /// [`ProjectData`] in [`EngineReport::projects`].
     ///
     /// Under [`FailurePolicy::CollectAndContinue`] this only returns `Err`
     /// when the source itself is unusable (e.g. the corpus directory cannot
     /// be read); per-project problems land in [`EngineReport::failures`].
-    /// Under [`FailurePolicy::FailFast`] the first project failure aborts
-    /// the run with its error.
+    /// Under [`FailurePolicy::FailFast`] the run aborts with the first
+    /// failing project in corpus order.
     pub fn run(&self, source: Source) -> Result<EngineReport, EngineError> {
-        let metrics = Metrics::new();
-        let store = self.open_store(&metrics)?;
-
-        // Load stage.
-        let t = Instant::now();
-        let (items, mut failures) = self.load(source)?;
-        metrics.record(Stage::Load, t.elapsed(), items.len() as u64);
-        if self.config.failure_policy == FailurePolicy::FailFast {
-            if let Some(f) = failures.first() {
-                return Err(f.error.clone());
-            }
-        }
-
-        // Per-project stages over the work-stealing pool.
-        let workers = self.worker_count(items.len());
-        let slots = self.run_pool(items, workers, &metrics, store.as_ref());
-
-        let mut projects = Vec::new();
-        let mut measures = Vec::new();
-        for slot in slots {
-            match slot {
-                Some(Ok((data, m))) => {
-                    projects.push(data);
-                    measures.push(m);
-                }
-                Some(Err(e)) => {
-                    if self.config.failure_policy == FailurePolicy::FailFast {
-                        return Err(e);
-                    }
-                    failures.push(ProjectFailure::from(e));
-                }
-                // A `None` slot is an item skipped after a fail-fast abort;
-                // the triggering error itself is returned via the arm above
-                // (an abort implies at least one `Some(Err(_))` slot).
-                None => {}
-            }
-        }
-        failures.sort_by(|a, b| a.project.cmp(&b.project));
-
-        // Stats stage.
-        let t = Instant::now();
-        let results = StudyResults::from_measures(measures);
-        metrics.record(Stage::Stats, t.elapsed(), 1);
-
-        Ok(EngineReport { projects, results, failures, metrics: metrics.snapshot(workers) })
+        self.run_batches(source, usize::MAX, true)
     }
 
     /// Run exactly one project through the per-project pipeline stages,
@@ -250,353 +208,160 @@ impl StudyRunner {
         project: &ProjectArtifacts,
     ) -> Result<(ProjectData, ProjectMeasures), EngineError> {
         let metrics = Metrics::new();
-        let item = work_item(0, project.clone());
-        match &self.config.store_dir {
-            Some(dir) => {
-                metrics.enable_store();
-                let store = coevo_store::ResultStore::open(dir).map_err(|e| EngineError {
-                    project: dir.display().to_string(),
-                    stage: Stage::Store,
-                    kind: EngineErrorKind::Store(e.to_string()),
-                })?;
-                let config_hash =
-                    store_config_hash(&self.config.taxonomy, self.config.match_policy);
-                let ctx = StoreContext { store, config_hash };
-                process_with_store(
-                    &item,
-                    &self.config.taxonomy,
-                    self.config.match_policy,
-                    &metrics,
-                    &ctx,
-                )
+        let store = self.open_store(&metrics)?;
+        self.process(project, &metrics, store.as_ref())
+    }
+
+    /// The engine's one batch loop, behind both [`StudyRunner::run`] and
+    /// [`StudyRunner::run_streamed`]: admit at most `cap` projects at a
+    /// time from the source (a sharded source never more than one shard),
+    /// run each batch over the worker pool, and compute the figures and
+    /// statistics once over every survivor's measures. `keep_projects`
+    /// decides whether each survivor's [`ProjectData`] outlives its batch;
+    /// without it the report's `projects` stays empty.
+    pub(crate) fn run_batches(
+        &self,
+        source: Source,
+        cap: usize,
+        keep_projects: bool,
+    ) -> Result<EngineReport, EngineError> {
+        let metrics = Metrics::new();
+        let store = self.open_store(&metrics)?;
+        let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
+        let mut batches = Batches::plan(source, cap)?;
+        let mut projects = Vec::new();
+        let mut measures = Vec::new();
+        let mut failures: Vec<ProjectFailure> = Vec::new();
+        let mut workers_used = 1;
+
+        loop {
+            let t = Instant::now();
+            let Some(batch) = batches.next_batch() else { break };
+            metrics.record(Stage::Load, t.elapsed(), batch.projects.len() as u64);
+            failures.extend(batch.failures);
+            if fail_fast {
+                if let Some(f) = failures.first() {
+                    return Err(f.error.clone());
+                }
             }
-            None => process(&item, &self.config.taxonomy, self.config.match_policy, &metrics),
+
+            let workers = self.worker_count(batch.projects.len());
+            workers_used = workers_used.max(workers);
+            for slot in self.run_pool(&batch.projects, workers, &metrics, store.as_ref()) {
+                match slot {
+                    Some(Ok((data, m))) => {
+                        if keep_projects {
+                            projects.push(data);
+                        }
+                        measures.push(m);
+                    }
+                    Some(Err(e)) if fail_fast => return Err(e),
+                    Some(Err(e)) => failures.push(ProjectFailure::from(e)),
+                    // Never claimed after a fail-fast abort. Every item
+                    // before the failing one was claimed first, so the arm
+                    // above has already returned.
+                    None => {}
+                }
+            }
         }
+        failures.sort_by(|a, b| a.project.cmp(&b.project));
+
+        let t = Instant::now();
+        let results = StudyResults::from_measures(measures);
+        metrics.record(Stage::Stats, t.elapsed(), 1);
+
+        Ok(EngineReport {
+            projects,
+            results,
+            failures,
+            metrics: metrics.snapshot(workers_used),
+        })
     }
 
     /// Open the configured result store, if any. An unusable store is a
     /// hard error, like an unreadable corpus: the user asked for warm
     /// restarts and cannot have them.
-    pub(crate) fn open_store(
-        &self,
-        metrics: &Metrics,
-    ) -> Result<Option<StoreContext>, EngineError> {
-        match &self.config.store_dir {
-            Some(dir) => {
-                metrics.enable_store();
-                let store = coevo_store::ResultStore::open(dir).map_err(|e| EngineError {
-                    project: dir.display().to_string(),
-                    stage: Stage::Store,
-                    kind: EngineErrorKind::Store(e.to_string()),
-                })?;
-                let config_hash =
-                    store_config_hash(&self.config.taxonomy, self.config.match_policy);
-                Ok(Some(StoreContext { store, config_hash }))
-            }
-            None => Ok(None),
-        }
+    fn open_store(&self, metrics: &Metrics) -> Result<Option<StoreContext>, EngineError> {
+        let Some(dir) = &self.config.store_dir else { return Ok(None) };
+        metrics.enable_store();
+        let store = coevo_store::ResultStore::open(dir).map_err(|e| EngineError {
+            project: dir.display().to_string(),
+            stage: Stage::Store,
+            kind: EngineErrorKind::Store(e.to_string()),
+        })?;
+        let config_hash = store_config_hash(&self.config.taxonomy, self.config.match_policy);
+        Ok(Some(StoreContext { store, config_hash }))
     }
 
-    pub(crate) fn worker_count(&self, items: usize) -> usize {
+    fn worker_count(&self, items: usize) -> usize {
         let auto = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let n = if self.config.workers == 0 { auto() } else { self.config.workers };
         n.min(items.max(1))
     }
 
-    /// Materialize work items. Per-project load problems become failures;
-    /// only an unusable source is a hard error.
-    fn load(
+    /// Run one project through the pipeline, via the store when the run
+    /// has one.
+    fn process(
         &self,
-        source: Source,
-    ) -> Result<(Vec<WorkItem>, Vec<ProjectFailure>), EngineError> {
-        match source {
-            Source::GeneratedCorpus(seed) => {
-                let mut spec = CorpusSpec::paper();
-                spec.seed = seed;
-                Ok((generated_items(&spec), Vec::new()))
-            }
-            Source::Spec(spec) => Ok((generated_items(&spec), Vec::new())),
-            Source::OnDisk(dir) => load_on_disk(&dir),
-            Source::InMemory(projects) => Ok((
-                projects.into_iter().enumerate().map(|(i, p)| work_item(i, p)).collect(),
-                Vec::new(),
-            )),
-            Source::Sharded(dir) => load_sharded(&dir),
+        project: &ProjectArtifacts,
+        metrics: &Metrics,
+        store: Option<&StoreContext>,
+    ) -> Result<(ProjectData, ProjectMeasures), EngineError> {
+        let (cfg, policy) = (&self.config.taxonomy, self.config.match_policy);
+        match store {
+            Some(ctx) => process_with_store(project, cfg, policy, metrics, ctx),
+            None => process(project, cfg, policy, metrics),
         }
     }
 
-    /// Fan the items out over `workers` threads with per-worker deques and
-    /// work stealing; collect `(index, result)` pairs over a bounded channel
-    /// into input-order slots.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run_pool(
+    /// Run `projects` on `workers` scoped threads. Each worker claims the
+    /// next index from a shared cursor until the batch is exhausted, and
+    /// the results land in index-addressed slots after the join, so the
+    /// output order is the input order whatever the interleaving.
+    ///
+    /// Under [`FailurePolicy::FailFast`] a failure stops further claims. A
+    /// worker checks for the abort *before* it claims, and a claimed item
+    /// is always processed: every item ahead of a failing one was claimed
+    /// before it, so the first failure in input order always has a slot.
+    fn run_pool(
         &self,
-        items: Vec<WorkItem>,
+        projects: &[ProjectArtifacts],
         workers: usize,
         metrics: &Metrics,
         store: Option<&StoreContext>,
-    ) -> Vec<Option<Result<(ProjectData, ProjectMeasures), EngineError>>> {
-        let total = items.len();
-        let mut slots: Vec<Option<Result<(ProjectData, ProjectMeasures), EngineError>>> =
-            (0..total).map(|_| None).collect();
-        if total == 0 {
-            return slots;
-        }
-
-        // Deal items round-robin into per-worker deques.
-        let queues: Vec<crossbeam::deque::Worker<WorkItem>> =
-            (0..workers).map(|_| crossbeam::deque::Worker::new_fifo()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            queues[i % workers].push(item);
-        }
-        let stealers: Vec<crossbeam::deque::Stealer<WorkItem>> =
-            queues.iter().map(|q| q.stealer()).collect();
-
-        let remaining = AtomicUsize::new(total);
+    ) -> Vec<Option<ProjectResult>> {
+        let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let fail_fast = self.config.failure_policy == FailurePolicy::FailFast;
-        let cfg = &self.config.taxonomy;
-        let policy = self.config.match_policy;
-        let (tx, rx) = crossbeam::channel::bounded(self.config.channel_capacity.max(1));
-
-        crossbeam::thread::scope(|scope| {
-            for (id, own) in queues.into_iter().enumerate() {
-                let tx = tx.clone();
-                let stealers = stealers.clone();
-                let remaining = &remaining;
-                let abort = &abort;
-                scope.spawn(move |_| {
-                    loop {
-                        // Own queue first, then steal from peers.
-                        let item = own.pop().or_else(|| {
-                            stealers.iter().enumerate().filter(|(j, _)| *j != id).find_map(
-                                |(_, s)| loop {
-                                    match s.steal() {
-                                        crossbeam::deque::Steal::Success(it) => break Some(it),
-                                        crossbeam::deque::Steal::Empty => break None,
-                                        crossbeam::deque::Steal::Retry => {}
-                                    }
-                                },
-                            )
-                        });
-                        let Some(item) = item else {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        let index = item.index;
-                        let result = if abort.load(Ordering::Relaxed) {
-                            None
-                        } else {
-                            let r = match store {
-                                Some(ctx) => {
-                                    process_with_store(&item, cfg, policy, metrics, ctx)
-                                }
-                                None => process(&item, cfg, policy, metrics),
-                            };
-                            if fail_fast && r.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            Some(r)
-                        };
-                        remaining.fetch_sub(1, Ordering::Release);
-                        tx.send((index, result)).expect("collector alive");
-                    }
-                });
+        let worker = || {
+            let mut done = Vec::new();
+            while !abort.load(Ordering::Relaxed) {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(project) = projects.get(index) else { break };
+                let result = self.process(project, metrics, store);
+                if fail_fast && result.is_err() {
+                    abort.store(true, Ordering::Relaxed);
+                }
+                done.push((index, result));
             }
-            drop(tx);
-            for _ in 0..total {
-                let (index, result) = rx.recv().expect("one message per item");
-                slots[index] = result;
-            }
-        })
-        .expect("engine worker panicked");
+            done
+        };
 
+        let mut slots: Vec<Option<ProjectResult>> = projects.iter().map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            for handle in handles {
+                for (index, result) in handle.join().expect("engine worker panicked") {
+                    slots[index] = Some(result);
+                }
+            }
+        });
         slots
     }
 }
 
-/// Turn explicit project artifacts into the pipeline's work item.
-pub(crate) fn work_item(index: usize, p: ProjectArtifacts) -> WorkItem {
-    WorkItem {
-        index,
-        name: p.name,
-        git_log: p.git_log,
-        ddl_versions: p.ddl_versions,
-        dialect: p.dialect,
-        taxon: p.taxon,
-    }
-}
-
-/// Turn a generated corpus into work items (corpus order preserved).
-fn generated_items(spec: &CorpusSpec) -> Vec<WorkItem> {
-    coevo_corpus::generate_corpus(spec)
-        .into_iter()
-        .enumerate()
-        .map(|(index, p)| WorkItem {
-            index,
-            name: p.raw.name,
-            git_log: p.git_log,
-            ddl_versions: p.raw.ddl_versions,
-            dialect: p.raw.dialect,
-            taxon: Some(p.raw.taxon),
-        })
-        .collect()
-}
-
-/// Read every project directory under `dir` (any subdirectory containing a
-/// `manifest.json`), demoting unreadable projects to load failures. Items
-/// are ordered by project name, matching `coevo_corpus::loader::load_corpus`.
-#[allow(clippy::type_complexity)]
-fn load_on_disk(
-    dir: &std::path::Path,
-) -> Result<(Vec<WorkItem>, Vec<ProjectFailure>), EngineError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| EngineError {
-        project: dir.display().to_string(),
-        stage: Stage::Load,
-        kind: EngineErrorKind::Load(format!("unreadable corpus directory: {e}")),
-    })?;
-    let mut project_dirs: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir() && p.join("manifest.json").exists())
-        .collect();
-    project_dirs.sort();
-
-    let mut items = Vec::new();
-    let mut failures = Vec::new();
-    for pdir in project_dirs {
-        let fallback_name = pdir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| pdir.display().to_string());
-        match load_project_raw(&pdir) {
-            Ok((name, git_log, ddl_versions, dialect, taxon)) => items.push(WorkItem {
-                index: 0, // assigned after sorting
-                name,
-                git_log,
-                ddl_versions,
-                dialect,
-                taxon,
-            }),
-            Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                project: fallback_name,
-                stage: Stage::Load,
-                kind,
-            })),
-        }
-    }
-    items.sort_by(|a, b| a.name.cmp(&b.name));
-    for (i, item) in items.iter_mut().enumerate() {
-        item.index = i;
-    }
-    Ok((items, failures))
-}
-
-/// Load a whole sharded corpus eagerly, in global order — the in-memory
-/// counterpart (and differential oracle) of the streamed path, sharing its
-/// per-shard leniency so both paths surface identical failures.
-#[allow(clippy::type_complexity)]
-fn load_sharded(
-    dir: &std::path::Path,
-) -> Result<(Vec<WorkItem>, Vec<ProjectFailure>), EngineError> {
-    let stream = open_corpus_stream(dir)?;
-    let mut entries = stream.manifest().shards.clone();
-    entries.sort_by_key(|e| e.start);
-    let mut items = Vec::new();
-    let mut failures = Vec::new();
-    for entry in &entries {
-        let (projects, fails) = read_shard_lenient(&stream, entry);
-        failures.extend(fails);
-        for p in projects {
-            let index = items.len();
-            items.push(work_item(index, p));
-        }
-    }
-    Ok((items, failures))
-}
-
-/// Open a sharded corpus, mapping an unusable corpus (missing manifest,
-/// format-version mismatch, unreadable `corpus.json`) to a hard load error.
-pub(crate) fn open_corpus_stream(
-    dir: &std::path::Path,
-) -> Result<coevo_corpus::CorpusStream, EngineError> {
-    coevo_corpus::CorpusStream::open(dir).map_err(|e| EngineError {
-        project: dir.display().to_string(),
-        stage: Stage::Load,
-        kind: EngineErrorKind::Load(e.to_string()),
-    })
-}
-
-/// Read one shard with record-level leniency: a shard that cannot be opened
-/// (bad magic, count mismatch, unreadable file) becomes one failure named
-/// after the shard file; a corrupt record becomes a failure named
-/// `<file>[record N]` while the remaining records still load. Both the
-/// eager and the streamed sharded paths call this, so their failure sets
-/// are identical by construction.
-pub(crate) fn read_shard_lenient(
-    stream: &coevo_corpus::CorpusStream,
-    entry: &coevo_corpus::ShardEntry,
-) -> (Vec<ProjectArtifacts>, Vec<ProjectFailure>) {
-    let shard_failure = |kind: String| {
-        ProjectFailure::from(EngineError {
-            project: entry.file.clone(),
-            stage: Stage::Load,
-            kind: EngineErrorKind::Load(kind),
-        })
-    };
-    let reader = match stream.shard_reader(entry) {
-        Ok(r) => r,
-        Err(e) => return (Vec::new(), vec![shard_failure(e.to_string())]),
-    };
-    let mut projects = Vec::with_capacity(entry.projects);
-    let mut failures = Vec::new();
-    for record in reader {
-        match record {
-            Ok(p) => projects.push(p),
-            Err(coevo_corpus::ShardError::Record { file, index, detail }) => {
-                failures.push(ProjectFailure::from(EngineError {
-                    project: format!("{file}[record {index}]"),
-                    stage: Stage::Load,
-                    kind: EngineErrorKind::Load(detail),
-                }));
-            }
-            Err(e) => failures.push(shard_failure(e.to_string())),
-        }
-    }
-    (projects, failures)
-}
-
-type RawProjectParts =
-    (String, String, Vec<(DateTime, String)>, Dialect, Option<coevo_taxa::Taxon>);
-
-/// Read one project directory's raw artifacts without running the pipeline
-/// (parsing happens inside the instrumented worker stages).
-pub(crate) fn load_project_raw(
-    dir: &std::path::Path,
-) -> Result<RawProjectParts, EngineErrorKind> {
-    let io = |what: &str, e: std::io::Error| EngineErrorKind::Load(format!("{what}: {e}"));
-    let manifest_text = std::fs::read_to_string(dir.join("manifest.json"))
-        .map_err(|e| io("manifest.json", e))?;
-    let manifest: Manifest = coevo_corpus::loader::manifest_from_json(&manifest_text)
-        .map_err(|e| EngineErrorKind::Load(e.to_string()))?;
-    let dialect = Dialect::from_name(&manifest.dialect).ok_or_else(|| {
-        EngineErrorKind::Load(format!("unknown dialect {:?}", manifest.dialect))
-    })?;
-    let git_log = std::fs::read_to_string(dir.join("git.log")).map_err(|e| io("git.log", e))?;
-    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
-    for v in &manifest.versions {
-        let date = DateTime::parse(&v.date)
-            .map_err(|_| EngineErrorKind::Load(format!("bad date {:?}", v.date)))?;
-        let text = std::fs::read_to_string(dir.join("versions").join(&v.file))
-            .map_err(|e| io(&format!("versions/{}", v.file), e))?;
-        ddl_versions.push((date, text));
-    }
-    let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
-    Ok((manifest.name, git_log, ddl_versions, dialect, taxon))
-}
+/// One project's pipeline outcome.
+type ProjectResult = Result<(ProjectData, ProjectMeasures), EngineError>;
 
 #[cfg(test)]
 mod tests {

@@ -1,19 +1,18 @@
 //! Shard-batched streamed execution: the whole corpus→results data path at
 //! O(shard) peak memory instead of O(corpus).
 //!
-//! [`StudyRunner::run_streamed`] runs the same staged pipeline as the eager
-//! [`StudyRunner::run`], but admits projects in bounded batches — one shard
-//! at a time for [`Source::Sharded`], [`DEFAULT_BATCH`]-sized (or
+//! [`StudyRunner::run_streamed`] is the engine's one batch loop (see
+//! [`StudyRunner::run`]) with each admission batch capped — one shard at a
+//! time for [`Source::Sharded`], [`DEFAULT_BATCH`]-sized (or
 //! [`crate::StudyConfig::max_resident_projects`]-sized) chunks for the other
-//! sources. Within a batch everything is unchanged: the same work-stealing
+//! sources. Within a batch nothing differs from `run`: the same worker
 //! pool, the same per-stage metrics, the same result-store spill. Between
 //! batches only two things survive:
 //!
 //! - the per-project **measures** (small — a handful of curves and scalars
-//!   per project), folded into a [`MeasureFold`]; the heavyweight
-//!   [`coevo_core::ProjectData`] (parsed histories, heartbeats) is dropped
-//!   as soon as its batch's results are collected, which is the whole
-//!   O(shard) claim;
+//!   per project); the heavyweight [`coevo_core::ProjectData`] (parsed
+//!   histories, heartbeats) is dropped as soon as its batch's results are
+//!   collected, which is the whole O(shard) claim;
 //! - the structured **failures**.
 //!
 //! Batches run in global corpus order and results are collected in input
@@ -22,16 +21,10 @@
 //! byte-identical, which the differential tests and the `coevo check`
 //! corpus oracle pin (including under seeded mid-shard failure injection).
 
-use crate::error::{EngineError, EngineErrorKind, FailurePolicy, ProjectFailure, Stage};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::runner::{
-    load_project_raw, open_corpus_stream, read_shard_lenient, work_item, Source, StudyRunner,
-    DEFAULT_BATCH,
-};
-use coevo_core::{ProjectMeasures, StatsCache, StudyResults};
-use coevo_corpus::{CorpusSpec, ProjectArtifacts};
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use crate::error::{EngineError, ProjectFailure};
+use crate::metrics::MetricsSnapshot;
+use crate::runner::{Source, StudyRunner, DEFAULT_BATCH};
+use coevo_core::StudyResults;
 
 /// Everything one streamed run produces. Unlike [`crate::EngineReport`]
 /// there is no `projects` vector: retaining every project's parsed data is
@@ -48,113 +41,25 @@ pub struct StreamedReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Streaming corpus-level aggregation: per-project measures are *folded* in
-/// as their batches complete, and [`MeasureFold::finish`] computes the
-/// figures and Section-7 statistics once at the end — through the same
-/// [`StatsCache`]-memoized path the incremental engine uses, so the outcome
-/// is bit-identical to `StudyResults::from_measures` over the eagerly
-/// collected vector.
-#[derive(Debug, Default)]
-pub struct MeasureFold {
-    measures: Vec<ProjectMeasures>,
-    cache: StatsCache,
-}
-
-impl MeasureFold {
-    /// An empty fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one project's measures (corpus order is the caller's
-    /// responsibility — batches arrive in global order).
-    pub fn push(&mut self, m: ProjectMeasures) {
-        self.measures.push(m);
-    }
-
-    /// Measures folded so far.
-    pub fn len(&self) -> usize {
-        self.measures.len()
-    }
-
-    /// Whether nothing has been folded yet.
-    pub fn is_empty(&self) -> bool {
-        self.measures.is_empty()
-    }
-
-    /// Compute the corpus-level results from everything folded in.
-    pub fn finish(mut self) -> StudyResults {
-        StudyResults::from_measures_cached(self.measures, &mut self.cache)
-    }
-}
-
 impl StudyRunner {
     /// Run the full study over `source` with bounded peak memory: projects
     /// are admitted to the worker pool in batches (one shard at a time for
     /// [`Source::Sharded`]), their parsed data dropped once measured, and
-    /// the corpus aggregation folded over the per-project measures.
+    /// the corpus aggregation computed over the per-project measures.
     ///
     /// The output is pinned byte-identical to [`StudyRunner::run`] on the
     /// same source: same `results`, same `failures`. Error behavior matches
     /// too — only an unusable source (or store) is a hard error under
-    /// [`FailurePolicy::CollectAndContinue`], while
-    /// [`FailurePolicy::FailFast`] aborts on the first project failure.
+    /// [`crate::FailurePolicy::CollectAndContinue`], while
+    /// [`crate::FailurePolicy::FailFast`] aborts on the first project
+    /// failure.
     pub fn run_streamed(&self, source: Source) -> Result<StreamedReport, EngineError> {
-        let metrics = Metrics::new();
-        let store = self.open_store(&metrics)?;
-
-        let mut batches = Batches::plan(source, self.batch_cap())?;
-        let mut fold = MeasureFold::new();
-        let mut failures: Vec<ProjectFailure> = Vec::new();
-        let mut workers_used = 1;
-
-        loop {
-            // Load stage: materialize the next batch (generate, read a
-            // shard, or slice the in-memory vector).
-            let t = Instant::now();
-            let Some(batch) = batches.next_batch() else { break };
-            metrics.record(Stage::Load, t.elapsed(), batch.projects.len() as u64);
-            failures.extend(batch.failures);
-            if self.config().failure_policy == FailurePolicy::FailFast {
-                if let Some(f) = failures.first() {
-                    return Err(f.error.clone());
-                }
-            }
-
-            // Per-project stages over the work-stealing pool, batch-local
-            // indices (results come back in batch order, which is global
-            // order because batches are planned in global order).
-            let items: Vec<_> =
-                batch.projects.into_iter().enumerate().map(|(i, p)| work_item(i, p)).collect();
-            let workers = self.worker_count(items.len());
-            workers_used = workers_used.max(workers);
-            let slots = self.run_pool(items, workers, &metrics, store.as_ref());
-            for slot in slots {
-                match slot {
-                    // ProjectData dropped here: only the measures outlive
-                    // the batch.
-                    Some(Ok((_data, m))) => fold.push(m),
-                    Some(Err(e)) => {
-                        if self.config().failure_policy == FailurePolicy::FailFast {
-                            return Err(e);
-                        }
-                        failures.push(ProjectFailure::from(e));
-                    }
-                    // Skipped after a fail-fast abort; the triggering error
-                    // returns via the arm above.
-                    None => {}
-                }
-            }
-        }
-        failures.sort_by(|a, b| a.project.cmp(&b.project));
-
-        // Stats stage: fold the accumulated measures into the corpus
-        // results.
-        let t = Instant::now();
-        let results = fold.finish();
-        metrics.record(Stage::Stats, t.elapsed(), 1);
-
-        Ok(StreamedReport { results, failures, metrics: metrics.snapshot(workers_used) })
+        let out = self.run_batches(source, self.batch_cap(), false)?;
+        Ok(StreamedReport {
+            results: out.results,
+            failures: out.failures,
+            metrics: out.metrics,
+        })
     }
 
     /// The per-batch project cap for non-sharded sources (and the sub-shard
@@ -167,204 +72,12 @@ impl StudyRunner {
     }
 }
 
-/// One admission batch: the projects to run plus any load failures found
-/// while materializing them.
-struct Batch {
-    projects: Vec<ProjectArtifacts>,
-    failures: Vec<ProjectFailure>,
-}
-
-/// The batch planner: a resumable cursor over a source, yielding projects
-/// in global corpus order without ever materializing more than one batch
-/// (plus, for sharded sources, the shard it is sliced from).
-enum Batches {
-    /// Generate `cap` projects at a time via `generate_nth`.
-    Generated { spec: CorpusSpec, next: usize, total: usize, cap: usize },
-    /// Read one shard at a time (shards visited by global `start` offset);
-    /// a shard larger than `cap` is admitted in `cap`-sized slices.
-    Sharded {
-        stream: coevo_corpus::CorpusStream,
-        entries: Vec<coevo_corpus::ShardEntry>,
-        next_entry: usize,
-        /// Unadmitted remainder of the currently open shard (global order).
-        pending: Vec<ProjectArtifacts>,
-        cap: usize,
-    },
-    /// Load `cap` project directories at a time, in manifest-name order
-    /// (established by a cheap manifest-only pre-pass).
-    OnDisk { dirs: Vec<PathBuf>, next: usize, pre_failures: Vec<ProjectFailure>, cap: usize },
-    /// Slice the given vector `cap` projects at a time.
-    InMemory { projects: std::vec::IntoIter<ProjectArtifacts>, cap: usize },
-}
-
-impl Batches {
-    fn plan(source: Source, cap: usize) -> Result<Self, EngineError> {
-        let cap = cap.max(1);
-        match source {
-            Source::GeneratedCorpus(seed) => {
-                let mut spec = CorpusSpec::paper();
-                spec.seed = seed;
-                Ok(Self::generated(spec, cap))
-            }
-            Source::Spec(spec) => Ok(Self::generated(spec, cap)),
-            Source::Sharded(dir) => {
-                let stream = open_corpus_stream(&dir)?;
-                let mut entries = stream.manifest().shards.clone();
-                entries.sort_by_key(|e| e.start);
-                Ok(Self::Sharded { stream, entries, next_entry: 0, pending: Vec::new(), cap })
-            }
-            Source::OnDisk(dir) => {
-                let (dirs, pre_failures) = plan_on_disk(&dir)?;
-                Ok(Self::OnDisk { dirs, next: 0, pre_failures, cap })
-            }
-            Source::InMemory(projects) => {
-                Ok(Self::InMemory { projects: projects.into_iter(), cap })
-            }
-        }
-    }
-
-    fn generated(spec: CorpusSpec, cap: usize) -> Self {
-        let total = spec.taxa.iter().map(|t| t.count).sum();
-        Self::Generated { spec, next: 0, total, cap }
-    }
-
-    /// The next batch, or `None` when the source is exhausted.
-    fn next_batch(&mut self) -> Option<Batch> {
-        match self {
-            Self::Generated { spec, next, total, cap } => {
-                if next == total {
-                    return None;
-                }
-                let end = (*next + *cap).min(*total);
-                let projects = (*next..end)
-                    .map(|i| {
-                        ProjectArtifacts::from(
-                            coevo_corpus::generate_nth(spec, i).expect("index < total"),
-                        )
-                    })
-                    .collect();
-                *next = end;
-                Some(Batch { projects, failures: Vec::new() })
-            }
-            Self::Sharded { stream, entries, next_entry, pending, cap } => {
-                let mut failures = Vec::new();
-                while pending.is_empty() {
-                    if *next_entry == entries.len() {
-                        if failures.is_empty() {
-                            return None;
-                        }
-                        // A trailing shard produced only failures.
-                        return Some(Batch { projects: Vec::new(), failures });
-                    }
-                    let entry = &entries[*next_entry];
-                    *next_entry += 1;
-                    let (projects, fails) = read_shard_lenient(stream, entry);
-                    failures.extend(fails);
-                    *pending = projects;
-                }
-                // Admit at most `cap` of the open shard; keep the rest
-                // (still O(shard)) for the next call.
-                let take = (*cap).min(pending.len());
-                let rest = pending.split_off(take);
-                let projects = std::mem::replace(pending, rest);
-                Some(Batch { projects, failures })
-            }
-            Self::OnDisk { dirs, next, pre_failures, cap } => {
-                let mut failures = std::mem::take(pre_failures);
-                let mut projects = Vec::new();
-                while projects.len() < *cap && *next < dirs.len() {
-                    let pdir = &dirs[*next];
-                    *next += 1;
-                    let fallback_name = pdir
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_else(|| pdir.display().to_string());
-                    match load_project_raw(pdir) {
-                        Ok((name, git_log, ddl_versions, dialect, taxon)) => {
-                            projects.push(ProjectArtifacts {
-                                name,
-                                taxon,
-                                dialect,
-                                ddl_versions,
-                                git_log,
-                            })
-                        }
-                        Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                            project: fallback_name,
-                            stage: Stage::Load,
-                            kind,
-                        })),
-                    }
-                }
-                if projects.is_empty() && failures.is_empty() {
-                    return None;
-                }
-                Some(Batch { projects, failures })
-            }
-            Self::InMemory { projects, cap } => {
-                let batch: Vec<_> = projects.take(*cap).collect();
-                if batch.is_empty() {
-                    return None;
-                }
-                Some(Batch { projects: batch, failures: Vec::new() })
-            }
-        }
-    }
-}
-
-/// The on-disk pre-pass: find every project directory and order them by
-/// *manifest* name (the eager path loads everything and then sorts by name;
-/// sorting up front from a manifest-only read reproduces that order without
-/// holding any version texts). Directories whose manifest cannot be read
-/// become load failures here, with the same error text the eager path's
-/// full load produces for them.
-#[allow(clippy::type_complexity)]
-fn plan_on_disk(dir: &Path) -> Result<(Vec<PathBuf>, Vec<ProjectFailure>), EngineError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| EngineError {
-        project: dir.display().to_string(),
-        stage: Stage::Load,
-        kind: EngineErrorKind::Load(format!("unreadable corpus directory: {e}")),
-    })?;
-    let mut project_dirs: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir() && p.join("manifest.json").exists())
-        .collect();
-    project_dirs.sort();
-
-    let mut named: Vec<(String, PathBuf)> = Vec::new();
-    let mut failures = Vec::new();
-    for pdir in project_dirs {
-        let fallback_name = pdir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| pdir.display().to_string());
-        let manifest = std::fs::read_to_string(pdir.join("manifest.json"))
-            .map_err(|e| EngineErrorKind::Load(format!("manifest.json: {e}")))
-            .and_then(|text| {
-                coevo_corpus::loader::manifest_from_json(&text)
-                    .map_err(|e| EngineErrorKind::Load(e.to_string()))
-            });
-        match manifest {
-            Ok(m) => named.push((m.name, pdir)),
-            Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                project: fallback_name,
-                stage: Stage::Load,
-                kind,
-            })),
-        }
-    }
-    // Stable sort by manifest name: equal names keep directory order, the
-    // same tiebreak the eager path's stable sort applies.
-    named.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok((named.into_iter().map(|(_, p)| p).collect(), failures))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{EngineErrorKind, FailurePolicy, Stage};
     use crate::runner::StudyConfig;
-    use coevo_corpus::generate_sharded;
+    use coevo_corpus::{generate_sharded, CorpusSpec, ProjectArtifacts};
     use std::path::PathBuf;
 
     fn small_spec(per_taxon: usize) -> CorpusSpec {
@@ -492,20 +205,6 @@ mod tests {
         let streamed = runner.run_streamed(Source::InMemory(Vec::new())).expect("empty");
         assert_eq!(streamed.results.measures.len(), 0);
         assert!(streamed.failures.is_empty());
-    }
-
-    #[test]
-    fn measure_fold_matches_direct_aggregation() {
-        let spec = small_spec(1);
-        let runner = StudyRunner::new(StudyConfig::default());
-        let eager = runner.run(Source::Spec(spec)).expect("eager");
-        let mut fold = MeasureFold::new();
-        assert!(fold.is_empty());
-        for m in eager.results.measures.clone() {
-            fold.push(m);
-        }
-        assert_eq!(fold.len(), 6);
-        assert_eq!(fold.finish(), eager.results);
     }
 
     #[test]

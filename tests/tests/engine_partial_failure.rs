@@ -74,13 +74,36 @@ fn corrupt_projects_are_demoted_to_failures() {
 
 #[test]
 fn fail_fast_aborts_on_first_corrupt_project() {
-    let (dir, _, _) = corrupted_corpus("failfast");
+    let (dir, ddl_name, log_name) = corrupted_corpus("failfast");
 
     let err = StudyRunner::new(StudyConfig::default())
         .with_failure_policy(FailurePolicy::FailFast)
         .run(Source::OnDisk(dir.clone()))
         .expect_err("fail-fast surfaces the corruption");
     assert_eq!(err.stage, Stage::Parse);
+
+    // An on-disk corpus runs in manifest-name order, so the first failing
+    // project is whichever victim sorts first. Every worker count, eager or
+    // streamed, must return exactly that project's error.
+    let ddl_first = ddl_name < log_name;
+    let first = if ddl_first { &ddl_name } else { &log_name };
+    for workers in [1, 2, 4] {
+        let runner = StudyRunner::new(StudyConfig::default())
+            .with_workers(workers)
+            .with_failure_policy(FailurePolicy::FailFast);
+        let eager = runner.run(Source::OnDisk(dir.clone())).expect_err("eager fail-fast");
+        let streamed =
+            runner.run_streamed(Source::OnDisk(dir.clone())).expect_err("streamed fail-fast");
+        for err in [eager, streamed] {
+            assert_eq!(&err.project, first, "workers {workers}: {err}");
+            assert_eq!(err.stage, Stage::Parse);
+            if ddl_first {
+                assert!(matches!(err.kind, EngineErrorKind::Ddl(_)), "{:?}", err.kind);
+            } else {
+                assert!(matches!(err.kind, EngineErrorKind::GitLog(_)), "{:?}", err.kind);
+            }
+        }
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }
