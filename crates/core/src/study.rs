@@ -4,8 +4,8 @@
 use crate::progress::{ProjectData, ProjectMeasures};
 use coevo_stats::{
     bucket_counts, chi_square_independence, fisher_exact_rx2, fisher_rx2_monte_carlo,
-    kendall_tau_b, kruskal_wallis, mann_whitney_u, median, shapiro_wilk, Bucketing, Chi2Result,
-    KruskalResult, ShapiroResult,
+    kendall_tau_b, kruskal_wallis, mann_whitney_u, median, shapiro_wilk_checked, Bucketing,
+    Chi2Result, KruskalResult, ShapiroError, ShapiroResult,
 };
 use coevo_taxa::{Taxon, TaxonomyConfig};
 use serde::{Deserialize, Serialize};
@@ -135,9 +135,10 @@ pub struct Fig8Grid {
 pub struct NormalityEntry {
     /// The attribute.
     pub attribute: String,
-    /// The W statistic.
+    /// The W statistic; NaN when the attribute has more than 5000 values,
+    /// beyond the range the test is calibrated for.
     pub w: f64,
-    /// The p-value of the test.
+    /// The p-value of the test; NaN exactly when `w` is.
     pub p_value: f64,
 }
 
@@ -163,7 +164,9 @@ pub struct LagTest {
     pub chi2_statistic: f64,
     /// The chi2 p.
     pub chi2_p: f64,
-    /// Fisher exact p-value (None when the table was too large to enumerate and Monte Carlo was unavailable).
+    /// Fisher p-value: exact by the network algorithm when the table fits
+    /// its node budget, else a seeded Monte Carlo estimate (see
+    /// [`StatsCache`]); `None` only for a degenerate table.
     pub fisher_p: Option<f64>,
 }
 
@@ -228,11 +231,11 @@ impl StudyResults {
         Self::from_measures_cached(measures, &mut StatsCache::default())
     }
 
-    /// Like [`StudyResults::from_measures`], but memoizing the expensive
-    /// exact tests in `cache`. Callers that recompute the study after small
+    /// Like [`StudyResults::from_measures`], but memoizing the Fisher
+    /// tests in `cache`. Callers that recompute the study after small
     /// deltas (one project, one month) keep the cache across calls and skip
-    /// the Fisher enumerations whenever the contingency tables are
-    /// unchanged; the answers are bit-identical to the uncached path.
+    /// the Fisher tests whenever the contingency tables are unchanged; the
+    /// answers are bit-identical to the uncached path.
     pub fn from_measures_cached(
         measures: Vec<ProjectMeasures>,
         cache: &mut StatsCache,
@@ -369,24 +372,27 @@ pub fn fig8(measures: &[ProjectMeasures]) -> Fig8Grid {
     }
 }
 
-/// Memo for the expensive exact tests of [`section7`], keyed by the
-/// contingency table they are computed from. The Fisher enumeration
-/// dominates the study-summary cost by three orders of magnitude over
-/// everything else, yet its input — the taxon × always-in-advance
-/// contingency table — is a handful of small counts that a one-month
-/// append to a single project rarely moves. Long-lived recomputing callers
-/// (the incremental study behind `coevo serve`) carry one of these across
-/// summaries; cached and fresh answers are the same deterministic numbers.
+/// Memo for the Fisher tests of [`section7`], keyed by the contingency
+/// table they are computed from. The three Fisher tests are still most of
+/// the cost of a study summary on the paper corpus (milliseconds each, tens
+/// of milliseconds where a large table falls back to sampling), yet
+/// their input — the taxon × always-in-advance contingency table — is a
+/// handful of small counts that a one-month append to a single project
+/// rarely moves. Long-lived recomputing callers (the incremental study
+/// behind `coevo serve`) carry one of these across summaries; cached and
+/// fresh answers are the same deterministic numbers.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCache {
-    /// Fisher p-values (exact or Monte Carlo fallback) by table rows.
+    /// Fisher p-values (exact or sampled) by table rows.
     fisher: HashMap<Vec<(u64, u64)>, Option<f64>>,
 }
 
 impl StatsCache {
-    /// The Fisher r×2 p-value for `rows` — exact when the enumeration is
-    /// tractable (budget 2M tables), Monte Carlo in the style of R's
-    /// `simulate.p.value` otherwise — memoized by the table itself.
+    /// The Fisher r×2 p-value for `rows` — exact by the network algorithm
+    /// when it settles within 2 000 000 expanded nodes (every 195-project
+    /// paper table does), otherwise a 100 000-sample Monte Carlo estimate
+    /// in the style of R's `simulate.p.value` (seed `0xF15E`) — memoized by
+    /// the table itself.
     fn fisher_p(&mut self, rows: &[(u64, u64)]) -> Option<f64> {
         if let Some(p) = self.fisher.get(rows) {
             return *p;
@@ -423,16 +429,7 @@ pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> 
         ("attainment_75", measures.iter().filter_map(|m| m.attainment.at_75).collect()),
         ("duration", measures.iter().map(|m| m.duration_months() as f64).collect()),
     ];
-    let normality: Vec<NormalityEntry> = attrs
-        .iter()
-        .filter_map(|(name, values)| {
-            shapiro_wilk(values).map(|ShapiroResult { w, p_value }| NormalityEntry {
-                attribute: name.to_string(),
-                w,
-                p_value,
-            })
-        })
-        .collect();
+    let normality = normality_screen(&attrs);
 
     let sync_by_taxon = taxon_effect(measures, |m| Some(m.sync_10));
     let attainment75_by_taxon = taxon_effect(measures, |m| m.attainment.at_75);
@@ -532,6 +529,24 @@ pub fn section7_cached(measures: &[ProjectMeasures], cache: &mut StatsCache) -> 
         kendall_advance_time_source,
         correlation_matrix,
     }
+}
+
+/// Shapiro–Wilk over each attribute's values. An attribute with more than
+/// 5000 values keeps its row, with NaN statistics, rather than vanishing as
+/// the corpus grows; one the test cannot take at all (fewer than 3 values,
+/// constant) is left out.
+fn normality_screen(attrs: &[(&str, Vec<f64>)]) -> Vec<NormalityEntry> {
+    attrs
+        .iter()
+        .filter_map(|(name, values)| {
+            let (w, p_value) = match shapiro_wilk_checked(values) {
+                Ok(ShapiroResult { w, p_value }) => (w, p_value),
+                Err(ShapiroError::TooMany { .. }) => (f64::NAN, f64::NAN),
+                Err(_) => return None,
+            };
+            Some(NormalityEntry { attribute: name.to_string(), w, p_value })
+        })
+        .collect()
 }
 
 fn taxon_effect(
@@ -687,6 +702,21 @@ mod tests {
                 assert!((0.0..=1.0 + 1e-9).contains(&fp));
             }
         }
+    }
+
+    #[test]
+    fn normality_keeps_rows_beyond_shapiro_range() {
+        // 5001 values are past Shapiro–Wilk's n ≤ 5000: the row stays, with
+        // NaN statistics, between rows that were tested and one that could
+        // not be (a constant attribute) and is left out.
+        let big: Vec<f64> = (0..5001).map(|i| (i % 97) as f64).collect();
+        let small: Vec<f64> = (0..50).map(|i| (i * i) as f64).collect();
+        let attrs = [("big", big), ("small", small), ("flat", vec![1.0; 10])];
+        let rows = normality_screen(&attrs);
+        let names: Vec<&str> = rows.iter().map(|e| e.attribute.as_str()).collect();
+        assert_eq!(names, ["big", "small"]);
+        assert!(rows[0].w.is_nan() && rows[0].p_value.is_nan());
+        assert!(rows[1].w > 0.0 && rows[1].p_value < 0.05);
     }
 
     #[test]

@@ -105,10 +105,14 @@ pub fn render_section7(results: &StudyResults) -> String {
     let s7 = &results.section7;
     let mut out = String::from("Section 7 — statistical analysis\n");
     for e in &s7.normality {
-        out.push_str(&format!(
-            "  Shapiro-Wilk {:<22} W={:.3}  p={:.3e}\n",
-            e.attribute, e.w, e.p_value
-        ));
+        if e.w.is_nan() {
+            out.push_str(&format!("  Shapiro-Wilk {:<22} n/a (n > 5000)\n", e.attribute));
+        } else {
+            out.push_str(&format!(
+                "  Shapiro-Wilk {:<22} W={:.3}  p={:.3e}\n",
+                e.attribute, e.w, e.p_value
+            ));
+        }
     }
     if let Some(k) = &s7.sync_by_taxon {
         out.push_str(&format!(
@@ -212,6 +216,18 @@ mod tests {
         {
             assert!(all.contains(needle), "missing {needle}");
         }
+    }
+
+    #[test]
+    fn section7_marks_untestable_normality_rows() {
+        let mut r = results();
+        r.section7.normality.push(coevo_core::study::NormalityEntry {
+            attribute: "duration".into(),
+            w: f64::NAN,
+            p_value: f64::NAN,
+        });
+        let s = render_section7(&r);
+        assert!(s.contains("  Shapiro-Wilk duration               n/a (n > 5000)\n"), "{s}");
     }
 
     #[test]

@@ -130,24 +130,31 @@ pub fn normal_sf(z: f64) -> f64 {
     0.5 * erfc(z / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal quantile Φ⁻¹(p) for p ∈ (0, 1), by bisection on the CDF
-/// (60 iterations bring the bracket below 1e-16 relative width — constant
-/// cost, no tabulated coefficients to get wrong).
+/// Standard normal quantile Φ⁻¹(p) for p ∈ (0, 1), by Newton's method on
+/// the CDF inside a bisection bracket: a step that would leave the bracket
+/// bisects instead, so every p converges, with no tabulated coefficients to
+/// get wrong. A handful of CDF evaluations, where plain bisection to the
+/// same precision takes about 53.
 pub fn normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "normal_quantile requires p in (0,1), got {p}");
     let (mut lo, mut hi) = (-42.0f64, 42.0f64);
+    let mut x = 0.0f64;
     for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if normal_cdf(mid) < p {
-            lo = mid;
+        let err = normal_cdf(x) - p;
+        if err < 0.0 {
+            lo = x;
         } else {
-            hi = mid;
+            hi = x;
         }
-        if hi - lo < 1e-14 {
-            break;
+        let pdf = (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
+        let newton = x - err / pdf;
+        let next = if newton > lo && newton < hi { newton } else { 0.5 * (lo + hi) };
+        if (next - x).abs() <= 1e-15 * (1.0 + x.abs()) || hi - lo < 1e-14 {
+            return next;
         }
+        x = next;
     }
-    0.5 * (lo + hi)
+    x
 }
 
 /// Chi-square CDF with `df` degrees of freedom.

@@ -1,7 +1,20 @@
 //! Fisher's exact test: 2×2 and the Freeman–Halton extension for r×2 tables
 //! (the paper runs two-sided Fisher tests on taxon × always-lag tables).
+//!
+//! [`fisher_exact_rx2`] is exact: the network algorithm of Mehta & Patel
+//! (JASA 1983) for two columns, within a budget of expanded nodes. The
+//! 195-project paper tables take at most a few hundred thousand nodes. A
+//! table beyond the budget, such as a p ≈ 0 table at N = 2000, which needs
+//! hundreds of millions, is left to [`fisher_rx2_monte_carlo`], a seeded
+//! sampler of null tables. `fisher_exact_rx2_enumerate` is the complete
+//! enumeration the network is tested against.
 
 use crate::dist::ln_gamma;
+
+/// Tolerance absorbing floating-point noise in "equally probable": a table
+/// counts towards the two-sided p when its log-probability is at most the
+/// observed one plus this.
+const TIE: f64 = 1e-7;
 
 fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
@@ -31,32 +44,275 @@ pub fn fisher_exact_2x2(a: u64, b: u64, c: u64, d: u64) -> Option<f64> {
     let mut p = 0.0;
     for x in lo..=hi {
         let lp = ln_choose(row1, x) + ln_choose(row2, col1 - x) - denom;
-        // Tolerance absorbs floating-point noise in "equally probable".
-        if lp <= lp_obs + 1e-7 {
+        if lp <= lp_obs + TIE {
             p += lp.exp();
         }
     }
     Some(p.min(1.0))
 }
 
-/// Two-sided Fisher–Freeman–Halton exact test on an r×2 table, by complete
-/// enumeration of tables with the observed margins. `rows[i] = (col1, col2)`
-/// counts. Suitable for the study's scale (≤ 6 rows, N ≈ 200, a few million
-/// candidate tables); returns `None` for degenerate tables (zero margin
-/// dimensions after dropping empty rows) or when enumeration would exceed
-/// `max_tables`.
-pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
-    let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
-    if rows.len() < 2 {
-        return None;
+/// Log-factorials `ln k!` for `k = 0..=n`, one [`ln_gamma`] per entry, so a
+/// [`LnFact::choose`] is bit-identical to [`ln_choose`] at table-lookup cost.
+struct LnFact(Vec<f64>);
+
+impl LnFact {
+    fn new(n: u64) -> Self {
+        Self((0..=n).map(|k| ln_gamma(k as f64 + 1.0)).collect())
     }
-    let row_sums: Vec<u64> = rows.iter().map(|&(a, b)| a + b).collect();
-    let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
-    let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
-    if col1 == 0 || col2 == 0 {
-        return None;
+
+    fn choose(&self, n: u64, k: u64) -> f64 {
+        if k > n {
+            return f64::NEG_INFINITY;
+        }
+        self.0[n as usize] - self.0[k as usize] - self.0[(n - k) as usize]
     }
-    let n: u64 = col1 + col2;
+}
+
+/// The margins of an r×2 table after dropping empty rows: per-row
+/// `(col1 count, row total)` and the column-1 and grand totals. `None` when
+/// the test is degenerate: fewer than two non-empty rows, or an empty column.
+struct Margins {
+    rows: Vec<(u64, u64)>,
+    col1: u64,
+    n: u64,
+}
+
+impl Margins {
+    fn of(rows: &[(u64, u64)]) -> Option<Self> {
+        let rows: Vec<(u64, u64)> =
+            rows.iter().filter(|&&(a, b)| a + b > 0).map(|&(a, b)| (a, a + b)).collect();
+        let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
+        let n: u64 = rows.iter().map(|&(_, r)| r).sum();
+        (rows.len() >= 2 && col1 > 0 && col1 < n).then_some(Self { rows, col1, n })
+    }
+}
+
+/// Two-sided Fisher–Freeman–Halton exact test on an r×2 table, by the
+/// network algorithm of Mehta & Patel (JASA 1983) specialised to two
+/// columns. `rows[i] = (col1, col2)` counts. The p-value is the probability,
+/// under fixed margins, of every table no more probable than the observed
+/// one (R's `fisher.test` two-sided rule, same tie tolerance as the
+/// enumeration it replaces).
+///
+/// A node of the network is (row `i`, column-1 count `m` left for rows
+/// `i..`); a table is a path from the root. Rows are walked in ascending
+/// order of their totals. A subtree whose most probable completion is
+/// still no more probable than the observed table is summed in closed form
+/// (Vandermonde's identity); one whose least probable completion is more
+/// probable is dropped; the last two rows are resolved analytically from
+/// the unimodal two-row distribution. Only subtrees straddling the observed
+/// probability are expanded.
+///
+/// Returns `None` for degenerate tables (fewer than two non-empty rows, or
+/// an empty column) and when expanding the network would take more than
+/// `max_nodes` nodes. Two-row tables never expand a node and always answer.
+pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_nodes: u64) -> Option<f64> {
+    let mut margins = Margins::of(rows)?;
+    // Any fixed row order is exact; ascending totals expand fewer nodes.
+    margins.rows.sort_by_key(|&(_, r)| r);
+    let mut net = Network::new(&margins, max_nodes);
+    let col1 = margins.col1;
+    // The root is always expanded, so the budget bounds every walk of three
+    // or more rows; a two-row root is settled directly.
+    if margins.rows.len() == 2 {
+        net.visit(0, col1, 0.0, &mut (0, 0))?;
+    } else {
+        net.expand(0, col1, 0.0)?;
+    }
+    Some(net.p.min(1.0))
+}
+
+/// The state of one [`fisher_exact_rx2`] walk.
+struct Network {
+    /// `ln C(r_i, x)` for every row `i` and `x = 0..=r_i`.
+    ln_rows: Vec<Vec<f64>>,
+    /// `reach[i]` = total of rows `i..` (`reach[k] = 0`).
+    reach: Vec<u64>,
+    /// Longest and shortest completion log-weights: the extreme
+    /// `Σ_{j ≥ i} ln C(r_j, x_j)` over `Σ x_j = m`, indexed `[i][m]`.
+    lp_max: Vec<Vec<f64>>,
+    lp_min: Vec<Vec<f64>>,
+    /// The last two rows' distribution per column-1 count, built on first
+    /// use.
+    tails: Vec<Option<TwoRowTails>>,
+    lf: LnFact,
+    denom: f64,
+    /// Observed log-weight plus [`TIE`]: tables at or below it count.
+    bound: f64,
+    nodes: u64,
+    max_nodes: u64,
+    p: f64,
+}
+
+impl Network {
+    fn new(&Margins { ref rows, col1, n }: &Margins, max_nodes: u64) -> Self {
+        let k = rows.len();
+        let lf = LnFact::new(n);
+        let denom = lf.choose(n, col1);
+        let bound = rows.iter().map(|&(a, r)| lf.choose(r, a)).sum::<f64>() + TIE;
+        let ln_rows: Vec<Vec<f64>> =
+            rows.iter().map(|&(_, r)| (0..=r).map(|x| lf.choose(r, x)).collect()).collect();
+        let mut reach = vec![0u64; k + 1];
+        for i in (0..k).rev() {
+            reach[i] = reach[i + 1] + rows[i].1;
+        }
+        let mut lp_max = vec![Vec::new(); k + 1];
+        let mut lp_min = vec![Vec::new(); k + 1];
+        lp_max[k] = vec![0.0];
+        lp_min[k] = vec![0.0];
+        for i in (0..k).rev() {
+            let cap = col1.min(reach[i]);
+            let (mut hi_row, mut lo_row) = (Vec::new(), Vec::new());
+            for m in 0..=cap {
+                let (mut best, mut worst) = (f64::NEG_INFINITY, f64::INFINITY);
+                for x in m.saturating_sub(reach[i + 1])..=rows[i].1.min(m) {
+                    let here = ln_rows[i][x as usize];
+                    best = best.max(here + lp_max[i + 1][(m - x) as usize]);
+                    worst = worst.min(here + lp_min[i + 1][(m - x) as usize]);
+                }
+                hi_row.push(best);
+                lo_row.push(worst);
+            }
+            lp_max[i] = hi_row;
+            lp_min[i] = lo_row;
+        }
+        let tails = (0..=col1.min(reach[k - 2])).map(|_| None).collect();
+        Self {
+            ln_rows,
+            reach,
+            lp_max,
+            lp_min,
+            tails,
+            lf,
+            denom,
+            bound,
+            nodes: 0,
+            max_nodes,
+            p: 0.0,
+        }
+    }
+
+    /// Add the mass of every counted table below node `(i, m)`, reached with
+    /// log-weight `past`; `None` once the node budget is spent.
+    fn expand(&mut self, i: usize, m: u64, past: f64) -> Option<()> {
+        let child = i + 1;
+        // Sibling two-row nodes have nearby tail boundaries (see `two_rows`).
+        let mut bounds = (0, 0);
+        for x in m.saturating_sub(self.reach[child])..=m.min(self.reach[i] - self.reach[child])
+        {
+            self.nodes += 1;
+            if self.nodes > self.max_nodes {
+                return None;
+            }
+            self.visit(child, m - x, past + self.ln_rows[i][x as usize], &mut bounds)?;
+        }
+        Some(())
+    }
+
+    /// Add the mass of every counted table below node `(i, m)`, reached
+    /// with log-weight `past`, settling the whole subtree at once when its
+    /// extreme completions allow. `bounds` carries tail boundaries between
+    /// sibling two-row nodes.
+    fn visit(&mut self, i: usize, m: u64, past: f64, bounds: &mut (u64, u64)) -> Option<()> {
+        if past + self.lp_max[i][m as usize] <= self.bound {
+            // Vandermonde: Σ over completions of Π C(r_j, x_j) = C(R_i, m).
+            self.p += (past + self.lf.choose(self.reach[i], m) - self.denom).exp();
+        } else if past + self.lp_min[i][m as usize] > self.bound {
+            // Every completion is more probable than the observed table.
+        } else if i == self.ln_rows.len() - 2 {
+            self.p += self.two_rows(m, past, bounds);
+        } else {
+            self.expand(i, m, past)?;
+        }
+        Some(())
+    }
+
+    /// The counted mass of the last two rows sharing `m` column-1 counts,
+    /// reached with log-weight `past`, for a node [`Network::visit`] could
+    /// not settle whole. `f(a) = ln C(r₁, a) + ln C(r₂, m − a)` is unimodal,
+    /// so the counted `a` form a tail at either end of the range, summed
+    /// from precomputed partial sums. Each tail's boundary is found by
+    /// walking from `bounds`, the previous sibling's boundaries, which sit
+    /// close by: the region the walk must cross is convex, so the walks of
+    /// one parent's children add up to about the width of the range.
+    fn two_rows(&mut self, m: u64, past: f64, bounds: &mut (u64, u64)) -> f64 {
+        let k = self.ln_rows.len();
+        let (row1, row2) = (&self.ln_rows[k - 2], &self.ln_rows[k - 1]);
+        let f = |a: u64| row1[a as usize] + row2[(m - a) as usize];
+        let (lf, denom) = (&self.lf, self.denom);
+        let t = self.tails[m as usize].get_or_insert_with(|| {
+            let (r1, r2) = (row1.len() as u64 - 1, row2.len() as u64 - 1);
+            let (lo, hi) = (m.saturating_sub(r2), m.min(r1));
+            let norm = lf.choose(r1 + r2, m);
+            let pmf: Vec<f64> = (lo..=hi).map(|a| (f(a) - norm).exp()).collect();
+            let mut prefix = vec![0.0; pmf.len() + 1];
+            let mut suffix = vec![0.0; pmf.len() + 1];
+            for (j, &q) in pmf.iter().enumerate() {
+                prefix[j + 1] = prefix[j] + q;
+            }
+            for (j, &q) in pmf.iter().enumerate().rev() {
+                suffix[j] = suffix[j + 1] + q;
+            }
+            let mode = ((m + 1) * (r1 + 1) / (r1 + r2 + 2)).clamp(lo, hi);
+            TwoRowTails { lo, hi, mode, offset: norm - denom, prefix, suffix }
+        });
+        // f rises on [lo, mode] and falls on [mode, hi].
+        let (lo, hi, mode) = (t.lo, t.hi, t.mode);
+        let limit = self.bound - past;
+        if f(mode) <= limit {
+            // Only rounding separates this from the accept in `visit`.
+            return (past + t.offset).exp();
+        }
+        // Left tail lo..left_end: first a with f(a) > limit.
+        let mut left_end = bounds.0.clamp(lo, mode);
+        if f(left_end) > limit {
+            while left_end > lo && f(left_end - 1) > limit {
+                left_end -= 1;
+            }
+        } else {
+            while f(left_end) <= limit {
+                left_end += 1;
+            }
+        }
+        // Right tail right_end + 1..=hi: last a with f(a) > limit.
+        let mut right_end = bounds.1.clamp(mode, hi);
+        if f(right_end) > limit {
+            while right_end < hi && f(right_end + 1) > limit {
+                right_end += 1;
+            }
+        } else {
+            while f(right_end) <= limit {
+                right_end -= 1;
+            }
+        }
+        *bounds = (left_end, right_end);
+        // Suffix sums, not 1 − prefix, keep tiny right tails accurate.
+        let tails =
+            t.prefix[(left_end - lo) as usize] + t.suffix[(right_end + 1 - lo) as usize];
+        (past + t.offset).exp() * tails
+    }
+}
+
+/// The last two rows' distribution at one column-1 count `m`: support
+/// `lo..=hi`, mode, `ln C(r₁ + r₂, m) − ln C(N, c₁)`, and prefix and suffix
+/// sums of the normalised pmf over the support.
+struct TwoRowTails {
+    lo: u64,
+    hi: u64,
+    mode: u64,
+    offset: f64,
+    prefix: Vec<f64>,
+    suffix: Vec<f64>,
+}
+
+/// The r×2 test of [`fisher_exact_rx2`] by complete enumeration of every
+/// table with the observed margins; `None` for degenerate tables or when
+/// the enumeration would exceed `max_tables`. The naive reference the
+/// network algorithm is tested against; exponential in the number of rows.
+#[doc(hidden)]
+pub fn fisher_exact_rx2_enumerate(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
+    let Margins { rows, col1, n } = Margins::of(rows)?;
+    let row_sums: Vec<u64> = rows.iter().map(|&(_, r)| r).collect();
 
     // Upper bound on enumeration size.
     let mut bound = 1u64;
@@ -68,8 +324,7 @@ pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
     }
 
     let denom = ln_choose(n, col1);
-    let lp_obs: f64 =
-        rows.iter().zip(&row_sums).map(|(&(a, _), &rs)| ln_choose(rs, a)).sum::<f64>() - denom;
+    let lp_obs: f64 = rows.iter().map(|&(a, rs)| ln_choose(rs, a)).sum::<f64>() - denom;
 
     // Suffix sums of row capacities for pruning.
     let mut suffix_cap = vec![0u64; rows.len() + 1];
@@ -78,7 +333,7 @@ pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
     }
 
     let mut p_total = 0.0f64;
-    // Iterative depth-first enumeration over a_i (column-1 count per row).
+    // Depth-first enumeration over a_i (column-1 count per row).
     #[allow(clippy::too_many_arguments)] // recursion state, not an API
     fn recurse(
         idx: usize,
@@ -93,7 +348,7 @@ pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
         if idx == row_sums.len() {
             if remaining == 0 {
                 let lp = lp_acc - denom;
-                if lp <= lp_obs + 1e-7 {
+                if lp <= lp_obs + TIE {
                     *p_total += lp.exp();
                 }
             }
@@ -120,63 +375,91 @@ pub fn fisher_exact_rx2(rows: &[(u64, u64)], max_tables: u64) -> Option<f64> {
 }
 
 /// Monte Carlo approximation of the Freeman–Halton two-sided p-value for an
-/// r×2 table, for tables too large to enumerate. Samples tables from the
-/// null (fixed margins) by sampling the column-1 assignment without
-/// replacement (multivariate hypergeometric), exactly as R's
-/// `fisher.test(simulate.p.value = TRUE)`. Deterministic under `seed`.
+/// r×2 table, for tables whose exact network is out of budget. Each sample
+/// draws a table from the null (fixed margins) row by row: row `i`'s
+/// column-1 count is hypergeometric given what the rows before it took,
+/// and the last row takes the rest — the same distribution as R's
+/// `fisher.test(simulate.p.value = TRUE)`, at a cost per sample that grows
+/// with the spread of the counts, not with the grand total. Deterministic
+/// under `seed`.
 ///
 /// The estimate uses the (1 + hits) / (1 + samples) correction so the
 /// p-value is never exactly zero.
 pub fn fisher_rx2_monte_carlo(rows: &[(u64, u64)], samples: u32, seed: u64) -> Option<f64> {
-    let rows: Vec<(u64, u64)> = rows.iter().copied().filter(|&(a, b)| a + b > 0).collect();
-    if rows.len() < 2 {
-        return None;
-    }
-    let row_sums: Vec<u64> = rows.iter().map(|&(a, b)| a + b).collect();
-    let col1: u64 = rows.iter().map(|&(a, _)| a).sum();
-    let col2: u64 = rows.iter().map(|&(_, b)| b).sum();
-    if col1 == 0 || col2 == 0 {
-        return None;
-    }
-    let n = (col1 + col2) as usize;
-
-    let lp_obs: f64 = rows.iter().zip(&row_sums).map(|(&(a, _), &rs)| ln_choose(rs, a)).sum();
+    let Margins { rows, col1, n } = Margins::of(rows)?;
+    let lf = LnFact::new(n);
+    let bound = rows.iter().map(|&(a, r)| lf.choose(r, a)).sum::<f64>() + TIE;
 
     // A small deterministic xorshift generator: no external dependency, and
     // statistical-quality requirements here are modest.
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
+    let mut uniform = move || {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
-        state
+        (state >> 11) as f64 / (1u64 << 53) as f64
     };
 
-    // Pool of membership labels: true = column 1.
-    let mut pool: Vec<bool> = Vec::with_capacity(n);
-    pool.extend(std::iter::repeat_n(true, col1 as usize));
-    pool.extend(std::iter::repeat_n(false, col2 as usize));
-
+    let (last, head) = rows.split_last().expect("Margins keeps at least two rows");
     let mut hits = 0u64;
     for _ in 0..samples {
-        // Fisher–Yates shuffle.
-        for i in (1..n).rev() {
-            let j = (next() % (i as u64 + 1)) as usize;
-            pool.swap(i, j);
+        let (mut pool, mut ones, mut lp) = (n, col1, 0.0);
+        for &(_, r) in head {
+            let a = hypergeometric(&lf, pool, ones, r, uniform());
+            lp += lf.choose(r, a);
+            pool -= r;
+            ones -= a;
         }
-        // Partition into rows and compute the table's log-probability term.
-        let mut lp = 0.0;
-        let mut offset = 0usize;
-        for &rs in &row_sums {
-            let a = pool[offset..offset + rs as usize].iter().filter(|&&b| b).count() as u64;
-            lp += ln_choose(rs, a);
-            offset += rs as usize;
-        }
-        if lp <= lp_obs + 1e-7 {
+        lp += lf.choose(last.1, ones);
+        if lp <= bound {
             hits += 1;
         }
     }
     Some((1.0 + hits as f64) / (1.0 + samples as f64))
+}
+
+/// Inverse-CDF draw of the number of marked items among `draws` taken
+/// without replacement from `pool` items of which `marked` are marked, for
+/// a uniform `u` in [0, 1). Chop-down search from the mode: subtract pmf
+/// values alternately below and above it (ratio recurrence) until `u` is
+/// spent, so the expected work is the distribution's spread.
+fn hypergeometric(lf: &LnFact, pool: u64, marked: u64, draws: u64, mut u: f64) -> u64 {
+    let unmarked = pool - marked;
+    let (lo, hi) = (draws.saturating_sub(unmarked), draws.min(marked));
+    if lo == hi {
+        return lo;
+    }
+    let mode = ((draws + 1) * (marked + 1) / (pool + 2)).clamp(lo, hi);
+    let pm = (lf.choose(marked, mode) + lf.choose(unmarked, draws - mode)
+        - lf.choose(pool, draws))
+    .exp();
+    let (k, d, f) = (marked as f64, draws as f64, unmarked as f64);
+    let (mut down, mut p_down, mut up, mut p_up) = (mode, pm, mode, pm);
+    u -= pm;
+    while u > 0.0 && (down > lo || up < hi) {
+        if down > lo {
+            let x = down as f64;
+            // p(x − 1) / p(x) = x (f − d + x) / ((k − x + 1)(d − x + 1)).
+            p_down *= x * (f - d + x) / ((k - x + 1.0) * (d - x + 1.0));
+            down -= 1;
+            u -= p_down;
+            if u <= 0.0 {
+                return down;
+            }
+        }
+        if up < hi {
+            let x = up as f64;
+            // p(x + 1) / p(x) = (k − x)(d − x) / ((x + 1)(f − d + x + 1)).
+            p_up *= (k - x) * (d - x) / ((x + 1.0) * (f - d + x + 1.0));
+            up += 1;
+            u -= p_up;
+            if u <= 0.0 {
+                return up;
+            }
+        }
+    }
+    // Also the landing spot for rounding left over after the whole support.
+    mode
 }
 
 #[cfg(test)]
@@ -296,6 +579,42 @@ mod tests {
     fn monte_carlo_degenerate_none() {
         assert!(fisher_rx2_monte_carlo(&[(5, 5)], 100, 1).is_none());
         assert!(fisher_rx2_monte_carlo(&[(5, 0), (3, 0)], 100, 1).is_none());
+    }
+
+    #[test]
+    fn rx2_network_pins_paper_tables() {
+        // Taxon × always-lag tables of 195-project corpora (the first two
+        // are the default seed's time and source tables). Expected values
+        // come from `fisher_exact_rx2_enumerate`, which takes about a second
+        // per table in release and far longer in debug, so only the network
+        // runs here.
+        let tables: [([(u64, u64); 6], f64); 3] = [
+            ([(15, 12), (37, 21), (14, 17), (15, 30), (2, 16), (1, 15)], 5.858482284705445e-6),
+            ([(15, 12), (31, 27), (9, 22), (10, 35), (3, 15), (1, 15)], 7.776894405534536e-5),
+            ([(14, 13), (29, 29), (16, 15), (14, 31), (8, 10), (2, 14)], 0.03364176923609622),
+        ];
+        for (rows, expected) in tables {
+            let p = fisher_exact_rx2(&rows, 2_000_000).expect("paper tables fit the budget");
+            assert!((p - expected).abs() <= 1e-9 * expected, "{rows:?}: {p} vs {expected}");
+        }
+    }
+
+    #[test]
+    fn hypergeometric_draws_match_the_pmf() {
+        // Inversion maps 20 000 evenly spaced quantiles of Hypergeometric(pool
+        // 30, marked 12, draws 10) onto each value in proportion to its pmf.
+        let lf = LnFact::new(30);
+        let mut counts = [0u32; 11];
+        let draws = 20_000;
+        for i in 0..draws {
+            let u = (i as f64 + 0.5) / draws as f64;
+            counts[hypergeometric(&lf, 30, 12, 10, u) as usize] += 1;
+        }
+        for (x, &c) in counts.iter().enumerate() {
+            let x = x as u64;
+            let pmf = (lf.choose(12, x) + lf.choose(18, 10 - x) - lf.choose(30, 10)).exp();
+            close(c as f64 / draws as f64, pmf, 1e-3);
+        }
     }
 
     #[test]

@@ -89,7 +89,11 @@ pub fn shapiro_wilk_checked(sample: &[f64]) -> Result<ShapiroResult, ShapiroErro
     let norm = ssq_m.sqrt();
     let mut a: Vec<f64> = m.iter().map(|v| v / norm).collect();
 
-    if n > 5 {
+    if n == 3 {
+        // Royston's fixed weights: the interior weight below would be 0/0,
+        // its sign left to the rounding of Φ⁻¹(1/2).
+        a = vec![-std::f64::consts::FRAC_1_SQRT_2, 0.0, std::f64::consts::FRAC_1_SQRT_2];
+    } else if n > 5 {
         let c_n = a[n - 1];
         let c_n1 = a[n - 2];
         let a_n =
@@ -213,6 +217,13 @@ mod tests {
         let r = shapiro_wilk(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]).unwrap();
         assert!(r.w > 0.95);
         assert!(r.p_value > 0.5);
+    }
+
+    #[test]
+    fn three_values_use_royston_fixed_weights() {
+        // a = (−√½, 0, √½): W = (x₃ − x₁)² / 2 / Σ(x − x̄)² = 40.5 / (438/9).
+        let r = shapiro_wilk(&[1.0, 2.0, 10.0]).unwrap();
+        assert!((r.w - 364.5 / 438.0).abs() < 1e-12, "W={}", r.w);
     }
 
     #[test]

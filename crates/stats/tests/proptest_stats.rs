@@ -1,8 +1,9 @@
 //! Property tests on statistical invariants.
 
+use coevo_stats::fisher::fisher_exact_rx2_enumerate;
 use coevo_stats::{
-    chi_square_independence, fisher_exact_2x2, kendall_tau_b, kruskal_wallis, mann_whitney_u,
-    quantile, rank_with_ties, shapiro_wilk, shapiro_wilk_checked, ShapiroError,
+    chi_square_independence, fisher_exact_2x2, fisher_exact_rx2, kendall_tau_b, kruskal_wallis,
+    mann_whitney_u, quantile, rank_with_ties, shapiro_wilk, shapiro_wilk_checked, ShapiroError,
 };
 use proptest::prelude::*;
 
@@ -126,6 +127,29 @@ proptest! {
         prop_assume!(a + b + c + d > 0);
         let p = fisher_exact_2x2(a, b, c, d).unwrap();
         prop_assert!(p > 0.0 && p <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn fisher_rx2_network_matches_enumeration(
+        cells in prop::collection::vec((0u64..41, 0u64..41), 2..7),
+        cap in 0u64..41,
+    ) {
+        // Cells folded under a per-case cap, so tables of every size from
+        // near-empty to 40 per cell turn up, and small ones enumerate.
+        let rows: Vec<(u64, u64)> =
+            cells.iter().map(|&(a, b)| (a % (cap + 1), b % (cap + 1))).collect();
+        let non_empty = rows.iter().filter(|&&(a, b)| a + b > 0).count();
+        let col1: u64 = rows.iter().map(|r| r.0).sum();
+        let col2: u64 = rows.iter().map(|r| r.1).sum();
+        let degenerate = non_empty < 2 || col1 == 0 || col2 == 0;
+        let net = fisher_exact_rx2(&rows, u64::MAX);
+        prop_assert_eq!(net.is_none(), degenerate);
+        if let (Some(net), Some(reference)) = (net, fisher_exact_rx2_enumerate(&rows, 200_000)) {
+            prop_assert!(
+                (net - reference).abs() <= 1e-9 * reference,
+                "network {net} vs enumeration {reference}"
+            );
+        }
     }
 
     #[test]
