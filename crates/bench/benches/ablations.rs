@@ -125,6 +125,7 @@ fn ablation_time_quantization(c: &mut Criterion) {
             let history = coevo_diff::SchemaHistory::from_ddl_texts(
                 p.raw.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
                 p.raw.dialect,
+                MatchPolicy::ByName,
             )
             .unwrap()
             .unwrap();

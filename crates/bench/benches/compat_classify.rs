@@ -9,7 +9,7 @@
 use coevo_compat::classify_step;
 use coevo_corpus::plant_compat_project;
 use coevo_ddl::Schema;
-use coevo_diff::{diff_constraints, ConstraintDelta, SchemaDelta, SchemaHistory};
+use coevo_diff::{diff_constraints, ConstraintDelta, MatchPolicy, SchemaDelta, SchemaHistory};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -37,6 +37,7 @@ fn prepare_steps(projects: usize) -> Vec<PreparedStep> {
         let history = SchemaHistory::from_ddl_texts(
             planted.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
             planted.dialect,
+            MatchPolicy::ByName,
         )
         .expect("planted DDL parses")
         .expect("planted history is nonempty");

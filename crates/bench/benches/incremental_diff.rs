@@ -75,9 +75,13 @@ fn dense_texts() -> Vec<(DateTime, String)> {
 }
 
 fn incremental_from_texts(texts: &[(DateTime, String)]) -> SchemaHistory {
-    SchemaHistory::from_ddl_texts(texts.iter().map(|(d, s)| (*d, s.as_str())), Dialect::Generic)
-        .expect("parse")
-        .expect("non-empty")
+    SchemaHistory::from_ddl_texts(
+        texts.iter().map(|(d, s)| (*d, s.as_str())),
+        Dialect::Generic,
+        MatchPolicy::ByName,
+    )
+    .expect("parse")
+    .expect("non-empty")
 }
 
 /// The pre-refactor path: every version parsed into its own allocation, no

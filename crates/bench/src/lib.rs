@@ -4,8 +4,7 @@
 #![warn(missing_docs)]
 
 use coevo_core::{ProjectData, Study, StudyResults};
-use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_engine::pipeline::project_from_generated;
+use coevo_corpus::{generate_corpus, CorpusSpec, ProjectArtifacts};
 use coevo_engine::{Source, StudyConfig, StudyRunner};
 
 /// Generate the full calibrated 195-project corpus and run its pipeline
@@ -21,9 +20,10 @@ pub fn small_projects(per_taxon: usize) -> Vec<ProjectData> {
     for t in &mut spec.taxa {
         t.count = per_taxon;
     }
+    let runner = StudyRunner::new(StudyConfig::default());
     generate_corpus(&spec)
         .iter()
-        .map(|p| project_from_generated(p).expect("pipeline"))
+        .map(|p| runner.run_project(&ProjectArtifacts::from_generated(p)).expect("pipeline").0)
         .collect()
 }
 

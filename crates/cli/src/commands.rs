@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
-use coevo_corpus::loader::{load_project, save_project};
-use coevo_corpus::{case_study_project, generate_corpus, CorpusSpec};
+use coevo_corpus::loader::{read_project, save_project};
+use coevo_corpus::{case_study_project, generate_corpus, CorpusSpec, ProjectArtifacts};
 use coevo_ddl::Dialect;
 use coevo_diff::{
     change_localization, delta_to_smos, diff_constraints, diff_schemas, net_growth,
@@ -126,30 +126,30 @@ fn rename_profiles(
     }
     let mut per_taxon: BTreeMap<coevo_taxa::Taxon, Counts> = BTreeMap::new();
     let mut skipped: Vec<String> = Vec::new();
-    let mut profile_one = |name: &str,
-                           taxon: Option<coevo_taxa::Taxon>,
-                           versions: &[(coevo_heartbeat::DateTime, String)],
-                           dialect: Option<Dialect>| {
-        let Some(dialect) = dialect else {
-            skipped.push(format!("{name}: unknown dialect"));
+    let mut profile_one = |p: Result<ProjectArtifacts, String>| {
+        let p = match p {
+            Ok(p) => p,
+            Err(e) => {
+                skipped.push(e);
+                return;
+            }
+        };
+        let Some(taxon) = p.taxon else {
+            skipped.push(format!("{}: no taxon label", p.name));
             return;
         };
-        let Some(taxon) = taxon else {
-            skipped.push(format!("{name}: no taxon label"));
-            return;
-        };
-        let history = match SchemaHistory::from_ddl_texts_with(
-            versions.iter().map(|(d, s)| (*d, s.as_str())),
-            dialect,
+        let history = match SchemaHistory::from_ddl_texts(
+            p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+            p.dialect,
             policy,
         ) {
             Ok(Some(h)) => h,
             Ok(None) => {
-                skipped.push(format!("{name}: no DDL versions"));
+                skipped.push(format!("{}: no DDL versions", p.name));
                 return;
             }
             Err(e) => {
-                skipped.push(format!("{name}: {e}"));
+                skipped.push(format!("{}: {e}", p.name));
                 return;
             }
         };
@@ -175,18 +175,17 @@ fn rename_profiles(
                 .filter(|p| p.is_dir() && p.join("manifest.json").exists())
                 .collect();
             dirs.sort();
+            // Like the study's planner, the first directory of a repeated
+            // project name is the one that counts.
+            let mut seen = std::collections::HashSet::new();
             for pdir in dirs {
-                let manifest = serde_json_read(&pdir)?;
-                let dialect = Dialect::from_name(&manifest.dialect);
-                let mut versions = Vec::new();
-                for v in &manifest.versions {
-                    let date = coevo_heartbeat::DateTime::parse(&v.date).map_err(io_err)?;
-                    let text = std::fs::read_to_string(pdir.join("versions").join(&v.file))
-                        .map_err(io_err)?;
-                    versions.push((date, text));
-                }
-                let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
-                profile_one(&manifest.name, taxon, &versions, dialect);
+                let label = pdir.file_name().unwrap_or_default().to_string_lossy();
+                profile_one(match read_project(&pdir) {
+                    Ok(p) if !seen.insert(p.name.clone()) => {
+                        Err(format!("{label}: duplicate project name {:?}", p.name))
+                    }
+                    read => read.map_err(|e| format!("{label}: {e}")),
+                });
             }
         }
         (None, Some(dir)) => {
@@ -195,21 +194,15 @@ fn rename_profiles(
             for entry in &manifest.shards {
                 let reader = stream.shard_reader(entry).map_err(io_err)?;
                 for project in reader {
-                    let p = project.map_err(io_err)?;
-                    profile_one(&p.name, p.taxon, &p.ddl_versions, Some(p.dialect));
+                    profile_one(Ok(project.map_err(io_err)?));
                 }
             }
         }
         (None, None) => {
             let mut spec = CorpusSpec::paper();
             spec.seed = seed;
-            for p in &generate_corpus(&spec) {
-                profile_one(
-                    &p.raw.name,
-                    Some(p.raw.taxon),
-                    &p.raw.ddl_versions,
-                    Some(p.raw.dialect),
-                );
+            for p in generate_corpus(&spec) {
+                profile_one(Ok(ProjectArtifacts::from(p)));
             }
         }
     }
@@ -440,11 +433,12 @@ pub fn check(
 }
 
 /// `coevo measure <dir>`: one on-disk project through the full pipeline,
-/// with the extension analyses (localization, growth).
+/// with the extension analyses (localization, growth) over the history of
+/// the same artifacts.
 pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
-    let data = load_project(dir).map_err(io_err)?;
-    let cfg = TaxonomyConfig::default();
-    let m = data.measures(&cfg);
+    let project = read_project(dir).map_err(io_err)?;
+    let (data, m) =
+        StudyRunner::new(StudyConfig::default()).run_project(&project).map_err(io_err)?;
 
     writeln!(out, "project: {}", m.name).map_err(io_err)?;
     writeln!(out, "  lifetime: {} months ({} elapsed)", m.months, m.duration_months())
@@ -470,20 +464,12 @@ pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
     .map_err(io_err)?;
     writeln!(out, "\n{}", joint_progress_chart(&data, 14, 70)).map_err(io_err)?;
 
-    // Extension analyses re-derive the history from the manifest layout.
-    let manifest: coevo_corpus::loader::Manifest = serde_json_read(dir)?;
-    let dialect = Dialect::from_name(&manifest.dialect)
-        .ok_or_else(|| format!("unknown dialect {:?}", manifest.dialect))?;
-    let mut versions = Vec::new();
-    for v in &manifest.versions {
-        let date = coevo_heartbeat::DateTime::parse(&v.date).map_err(io_err)?;
-        let text =
-            std::fs::read_to_string(dir.join("versions").join(&v.file)).map_err(io_err)?;
-        versions.push((date, text));
-    }
-    if let Some(history) =
-        SchemaHistory::from_ddl_texts(versions.iter().map(|(d, s)| (*d, s.as_str())), dialect)
-            .map_err(io_err)?
+    if let Some(history) = SchemaHistory::from_ddl_texts(
+        project.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
+        project.dialect,
+        MatchPolicy::ByName,
+    )
+    .map_err(io_err)?
     {
         let loc = change_localization(&history);
         writeln!(out, "change localization:").map_err(io_err)?;
@@ -509,11 +495,6 @@ pub fn measure(dir: &Path, out: &mut dyn Write) -> CmdResult {
         }
     }
     Ok(())
-}
-
-fn serde_json_read(dir: &Path) -> Result<coevo_corpus::loader::Manifest, String> {
-    let text = std::fs::read_to_string(dir.join("manifest.json")).map_err(io_err)?;
-    coevo_corpus::loader::manifest_from_json(&text).map_err(io_err)
 }
 
 /// `coevo generate <dir>`: write a corpus in the loader layout.
@@ -543,14 +524,8 @@ pub fn generate(
 /// `coevo case-study`: the paper's §3.3 project.
 pub fn case_study(out: &mut dyn Write) -> CmdResult {
     let cs = case_study_project();
-    let data = coevo_corpus::pipeline::project_from_texts(
-        cs.name,
-        &cs.git_log,
-        &cs.ddl_versions,
-        cs.dialect,
-    )
-    .map_err(io_err)?;
-    let m = data.measures(&TaxonomyConfig::default());
+    let (data, m) =
+        StudyRunner::new(StudyConfig::default()).run_project(&cs).map_err(io_err)?;
     writeln!(out, "{} — the paper's §3.3 case study", cs.name).map_err(io_err)?;
     writeln!(out, "  10%-synchronicity: {:.2}", m.sync_10).map_err(io_err)?;
     writeln!(out, "  attainment 50%: {:?}  80%: {:?}", m.attainment.at_50, m.attainment.at_80)
@@ -645,6 +620,7 @@ pub fn compat_corpus(
         let history = match SchemaHistory::from_ddl_texts(
             p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
             p.dialect,
+            MatchPolicy::ByName,
         ) {
             Ok(Some(h)) => h,
             Ok(None) => {

@@ -141,6 +141,7 @@ pub fn frozen_active_contrast(
 mod tests {
     use super::*;
     use coevo_ddl::Dialect;
+    use coevo_diff::MatchPolicy;
 
     fn history(texts: &[&str]) -> SchemaHistory {
         let dated: Vec<(coevo_heartbeat::DateTime, &str)> = texts
@@ -151,7 +152,7 @@ mod tests {
                 (coevo_heartbeat::DateTime::parse(&stamp).unwrap(), *t)
             })
             .collect();
-        SchemaHistory::from_ddl_texts(dated, Dialect::Generic)
+        SchemaHistory::from_ddl_texts(dated, Dialect::Generic, MatchPolicy::ByName)
             .expect("parse history")
             .expect("non-empty history")
     }

@@ -11,6 +11,7 @@
 //!   connected by a period of incremental change;
 //! - 10%-synchronicity around 43% of the months.
 
+use crate::artifacts::ProjectArtifacts;
 use crate::project_gen::SCHEMA_PATH;
 use crate::schema_gen::EvolvingSchema;
 use coevo_ddl::{print_schema, Dialect};
@@ -18,19 +19,6 @@ use coevo_heartbeat::{Date, DateTime};
 use coevo_vcs::{write_log, Commit, FileChange, Repository};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// The case-study project as raw artifacts (git log text + DDL versions),
-/// ready for the measurement pipeline.
-pub struct CaseStudy {
-    /// The name, as written in the source.
-    pub name: &'static str,
-    /// `git log --name-status --no-merges --date=iso` text.
-    pub git_log: String,
-    /// Dated DDL texts, oldest first.
-    pub ddl_versions: Vec<(DateTime, String)>,
-    /// The SQL dialect.
-    pub dialect: Dialect,
-}
 
 /// Commits per month, months 0..=21 (sums to 119).
 const COMMITS_PER_MONTH: [usize; 22] =
@@ -56,9 +44,10 @@ const SCHEMA_EVENTS: [(usize, usize, u64); 12] = [
     (19, 1, 0), // inactive
 ];
 
-/// Build the scripted case-study artifacts. Deterministic: the schema
-/// mutations draw from a fixed ChaCha stream.
-pub fn case_study_project() -> CaseStudy {
+/// Build the scripted case-study artifacts (unlabeled: the classifier
+/// assigns the taxon), ready for the measurement pipeline. Deterministic:
+/// the schema mutations draw from a fixed ChaCha stream.
+pub fn case_study_project() -> ProjectArtifacts {
     let start = Date::new(2015, 2, 1).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(0x0905_2015);
 
@@ -141,19 +130,19 @@ pub fn case_study_project() -> CaseStudy {
         }
     }
 
-    CaseStudy {
-        name: "mapbox/osm-comments-parser",
-        git_log: write_log(&repo),
-        ddl_versions,
+    ProjectArtifacts {
+        name: "mapbox/osm-comments-parser".to_string(),
+        taxon: None,
         dialect,
+        ddl_versions,
+        git_log: write_log(&repo),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::project_from_texts;
-    use coevo_core::synchronicity::theta_synchronicity;
+    use coevo_diff::{MatchPolicy, SchemaHistory};
     use coevo_vcs::monthly::repo_stats;
     use coevo_vcs::parse_log;
 
@@ -169,54 +158,12 @@ mod tests {
     }
 
     #[test]
-    fn schema_activity_profile_matches_paper() {
-        let cs = case_study_project();
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
-        // 22-month project, 20-month schema update period.
-        let jp = data.joint_progress();
-        assert_eq!(jp.months(), 22);
-        assert_eq!(data.schema.months(), 20);
-        // Birth carries 48% of total schema activity.
-        assert_eq!(data.birth_activity, 12);
-        assert_eq!(data.schema.total(), 25);
-        assert!((jp.schema[0] - 0.48).abs() < 1e-9);
-        // 9 active schema commits (bursts of activity), 13 versions.
-        let active_months = data.schema.active_months();
-        assert_eq!(active_months, 6); // m0, m12, m13, m14, m16, m19
-    }
-
-    #[test]
-    fn attainment_matches_paper_narrative() {
-        let cs = case_study_project();
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
-        let m = data.measures(&coevo_taxa::TaxonomyConfig::default());
-        // "50% of the schema changes at 55% of its life" (we measure 12/21).
-        let a50 = m.attainment.at_50.unwrap();
-        assert!((a50 - 0.55).abs() < 0.05, "50% attainment at {a50}");
-        // "80% of the schema changes at 68% of its life" (we measure 14/21).
-        let a80 = m.attainment.at_80.unwrap();
-        assert!((a80 - 0.68).abs() < 0.05, "80% attainment at {a80}");
-    }
-
-    #[test]
-    fn synchronicity_in_paper_ballpark() {
-        let cs = case_study_project();
-        let data =
-            project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect).unwrap();
-        let jp = data.joint_progress();
-        let sync = theta_synchronicity(&jp.project, &jp.schema, 0.10);
-        // Paper: close for 43% of the time.
-        assert!((0.30..=0.60).contains(&sync), "sync10 = {sync}");
-    }
-
-    #[test]
     fn active_commit_count_matches() {
         let cs = case_study_project();
-        let history = coevo_diff::SchemaHistory::from_ddl_texts(
+        let history = SchemaHistory::from_ddl_texts(
             cs.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
             cs.dialect,
+            MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap();

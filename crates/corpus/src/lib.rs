@@ -9,15 +9,17 @@
 //!   model and printing it), and
 //! - a **git log** in `git log --name-status --date=iso` format,
 //!
-//! which then flow through the *same measurement pipeline* as real data
-//! (SQL → [`coevo_ddl`] parse → [`coevo_diff`] diff → heartbeats →
-//! [`coevo_core`] measures). Per-taxon generative parameters are calibrated
-//! so population-level aggregates land near the published counts; see
-//! `EXPERIMENTS.md` for paper-vs-measured values.
+//! which the measurement pipeline in `coevo-engine`
+//! (`StudyRunner::run_project`) turns into study inputs. This crate only
+//! generates and stores projects; it never measures them. Per-taxon
+//! generative parameters are calibrated so population-level aggregates land
+//! near the published counts; see `EXPERIMENTS.md` for paper-vs-measured
+//! values.
 //!
-//! The [`loader`] module provides the real-data path: point it at a
-//! directory with DDL versions and a `git log` dump, and the same pipeline
-//! runs on an actual project.
+//! The [`loader`] module is the real-data path: [`loader::read_project`]
+//! reads a directory with DDL versions and a `git log` dump into the same
+//! [`ProjectArtifacts`] a generated project yields, so one pipeline runs on
+//! both.
 
 #![warn(missing_docs)]
 
@@ -26,7 +28,6 @@ pub mod case_study;
 pub mod digest;
 pub mod generator;
 pub mod loader;
-pub mod pipeline;
 pub mod plant;
 pub mod plant_rename;
 pub mod project_gen;
@@ -37,7 +38,6 @@ pub mod spec;
 pub use artifacts::ProjectArtifacts;
 pub use case_study::case_study_project;
 pub use generator::{generate_corpus, generate_nth, CorpusSpec, GeneratedProject};
-pub use pipeline::{project_from_texts, PipelineError};
 pub use plant::{plant_compat_project, PlantKind, PlantedProject, PlantedStep};
 pub use plant_rename::{
     plant_rename_project, PlantedRename, PlantedRenameProject, PlantedRenameStep,

@@ -16,9 +16,8 @@
 //! command and dumps each historical version of the DDL file (e.g. via
 //! `git show <sha>:<path>`); the pipeline then runs unmodified on real data.
 
+use crate::artifacts::ProjectArtifacts;
 use crate::generator::GeneratedProject;
-use crate::pipeline::{project_from_texts, PipelineError};
-use coevo_core::ProjectData;
 use coevo_ddl::Dialect;
 use coevo_heartbeat::DateTime;
 use serde::{Deserialize, Serialize};
@@ -53,43 +52,33 @@ pub struct ManifestVersion {
 /// Loader/saver errors.
 #[derive(Debug)]
 pub enum LoaderError {
-    /// Filesystem error.
-    Io(io::Error),
+    /// Filesystem error on `file`, a path relative to the project directory.
+    Io {
+        /// The file that could not be read or written.
+        file: String,
+        /// The underlying error.
+        error: io::Error,
+    },
     /// Manifest (de)serialization error.
     Json(serde_json::Error),
     /// A version date that does not parse.
     BadDate(String),
     /// An unrecognized dialect name.
     BadDialect(String),
-    /// The measurement pipeline rejected the loaded artifacts.
-    Pipeline(PipelineError),
-    /// Two project directories declare the same project name. The study keys
-    /// results by name, so loading both would silently alias them.
-    DuplicateProject(String),
 }
 
 impl std::fmt::Display for LoaderError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "io: {e}"),
+            Self::Io { file, error } => write!(f, "{file}: {error}"),
             Self::Json(e) => write!(f, "manifest: {e}"),
             Self::BadDate(s) => write!(f, "bad date {s:?}"),
             Self::BadDialect(s) => write!(f, "unknown dialect {s:?}"),
-            Self::Pipeline(e) => write!(f, "pipeline: {e}"),
-            Self::DuplicateProject(name) => {
-                write!(f, "duplicate project name {name:?}")
-            }
         }
     }
 }
 
 impl std::error::Error for LoaderError {}
-
-impl From<io::Error> for LoaderError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 impl From<serde_json::Error> for LoaderError {
     fn from(e: serde_json::Error) -> Self {
@@ -97,19 +86,19 @@ impl From<serde_json::Error> for LoaderError {
     }
 }
 
-/// Parse a manifest from its JSON text (exposed so downstream tools can
-/// inspect manifests without depending on a JSON library themselves).
-pub fn manifest_from_json(text: &str) -> Result<Manifest, LoaderError> {
-    Ok(serde_json::from_str(text)?)
+/// Tag an I/O error with the project-relative file it concerns.
+fn io_at(file: &str) -> impl FnOnce(io::Error) -> LoaderError + '_ {
+    move |error| LoaderError::Io { file: file.to_string(), error }
 }
 
 /// Save a generated project to disk in the loader's layout.
 pub fn save_project(dir: &Path, project: &GeneratedProject) -> Result<(), LoaderError> {
-    fs::create_dir_all(dir.join("versions"))?;
+    fs::create_dir_all(dir.join("versions")).map_err(io_at("versions"))?;
     let mut versions = Vec::new();
     for (i, (date, text)) in project.raw.ddl_versions.iter().enumerate() {
         let file = format!("{:04}.sql", i + 1);
-        fs::write(dir.join("versions").join(&file), text)?;
+        fs::write(dir.join("versions").join(&file), text)
+            .map_err(io_at(&format!("versions/{file}")))?;
         versions.push(ManifestVersion { file, date: date.to_string() });
     }
     let manifest = Manifest {
@@ -118,71 +107,45 @@ pub fn save_project(dir: &Path, project: &GeneratedProject) -> Result<(), Loader
         taxon: Some(project.raw.taxon.slug().to_string()),
         versions,
     };
-    fs::write(dir.join("manifest.json"), serde_json::to_string_pretty(&manifest)?)?;
-    fs::write(dir.join("git.log"), &project.git_log)?;
+    fs::write(dir.join("manifest.json"), serde_json::to_string_pretty(&manifest)?)
+        .map_err(io_at("manifest.json"))?;
+    fs::write(dir.join("git.log"), &project.git_log).map_err(io_at("git.log"))?;
     Ok(())
 }
 
-/// Load a project directory and run the measurement pipeline on it.
-///
-/// The loaded version texts flow through the same content-addressed parse
-/// path as generated projects (see [`project_from_texts`]), so repeated
-/// on-disk versions are parsed once and diffed by fingerprint.
-pub fn load_project(dir: &Path) -> Result<ProjectData, LoaderError> {
-    let manifest: Manifest =
-        serde_json::from_str(&fs::read_to_string(dir.join("manifest.json"))?)?;
+/// Read only a project directory's `manifest.json` — no version texts.
+pub fn read_manifest(dir: &Path) -> Result<Manifest, LoaderError> {
+    let text = fs::read_to_string(dir.join("manifest.json")).map_err(io_at("manifest.json"))?;
+    Ok(serde_json::from_str(&text)?)
+}
+
+/// Read a project directory's raw artifacts: the manifest, the git log and
+/// every DDL version text, in manifest order. Nothing is parsed or measured
+/// here; `StudyRunner::run_project` in `coevo-engine` turns the artifacts
+/// into study inputs, exactly as it does for generated projects. An
+/// unrecognized taxon slug is dropped, leaving the project to the
+/// classifier.
+pub fn read_project(dir: &Path) -> Result<ProjectArtifacts, LoaderError> {
+    let manifest = read_manifest(dir)?;
     let dialect = Dialect::from_name(&manifest.dialect)
         .ok_or_else(|| LoaderError::BadDialect(manifest.dialect.clone()))?;
-    let git_log = fs::read_to_string(dir.join("git.log"))?;
-
-    let mut versions: Vec<(DateTime, String)> = Vec::with_capacity(manifest.versions.len());
+    let git_log = fs::read_to_string(dir.join("git.log")).map_err(io_at("git.log"))?;
+    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
     for v in &manifest.versions {
         let date =
             DateTime::parse(&v.date).map_err(|_| LoaderError::BadDate(v.date.clone()))?;
-        let text = fs::read_to_string(dir.join("versions").join(&v.file))?;
-        versions.push((date, text));
+        let file = format!("versions/{}", v.file);
+        let text = fs::read_to_string(dir.join(&file)).map_err(io_at(&file))?;
+        ddl_versions.push((date, text));
     }
-
-    let mut data = project_from_texts(&manifest.name, &git_log, &versions, dialect)
-        .map_err(LoaderError::Pipeline)?;
-    if let Some(taxon) = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse) {
-        data = data.with_taxon(taxon);
-    }
-    Ok(data)
-}
-
-/// Load every project directory under `dir` (any subdirectory containing a
-/// `manifest.json`) and run the measurement pipeline on each. Entries are
-/// returned sorted by project name; directories without a manifest are
-/// skipped, and a project that fails to load aborts with its error (partial
-/// corpora would silently bias the study).
-pub fn load_corpus(dir: &Path) -> Result<Vec<ProjectData>, LoaderError> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() && path.join("manifest.json").exists() {
-            out.push(load_project(&path)?);
-        }
-    }
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    if let Some(w) = out.windows(2).find(|w| w[0].name == w[1].name) {
-        return Err(LoaderError::DuplicateProject(w[0].name.clone()));
-    }
-    Ok(out)
+    let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
+    Ok(ProjectArtifacts { name: manifest.name, taxon, dialect, ddl_versions, git_log })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate_corpus, CorpusSpec};
-
-    /// Measure a generated project directly from its in-memory artifacts —
-    /// the reference the save/load round trip must reproduce.
-    fn direct_measure(p: &GeneratedProject) -> ProjectData {
-        project_from_texts(&p.raw.name, &p.git_log, &p.raw.ddl_versions, p.raw.dialect)
-            .map(|d| d.with_taxon(p.raw.taxon))
-            .unwrap()
-    }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -194,6 +157,8 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
+        // Reading a saved project yields exactly the in-memory artifacts, so
+        // the measurement pipeline sees the same input either way.
         let mut spec = CorpusSpec::paper();
         for t in &mut spec.taxa {
             t.count = 1;
@@ -203,55 +168,16 @@ mod tests {
         for (i, p) in corpus.iter().enumerate() {
             let pdir = dir.join(format!("p{i}"));
             save_project(&pdir, p).unwrap();
-            let loaded = load_project(&pdir).unwrap();
-            let direct = direct_measure(p);
-            assert_eq!(loaded.name, direct.name);
-            assert_eq!(loaded.project, direct.project);
-            assert_eq!(loaded.schema, direct.schema);
-            assert_eq!(loaded.birth_activity, direct.birth_activity);
-            assert_eq!(loaded.taxon, direct.taxon);
+            let loaded = read_project(&pdir).unwrap();
+            assert_eq!(loaded, ProjectArtifacts::from_generated(p), "{}", p.raw.name);
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_corpus_round_trip() {
-        let mut spec = CorpusSpec::paper();
-        for t in &mut spec.taxa {
-            t.count = 1;
-        }
-        let corpus = generate_corpus(&spec);
-        let dir = tmpdir("corpus");
-        for p in &corpus {
-            save_project(&dir.join(p.raw.name.replace('/', "__")), p).unwrap();
-        }
-        // A stray non-project directory is skipped.
-        fs::create_dir_all(dir.join("not_a_project")).unwrap();
-        let loaded = load_corpus(&dir).unwrap();
-        assert_eq!(loaded.len(), corpus.len());
-        let mut names: Vec<String> = loaded.iter().map(|d| d.name.clone()).collect();
-        let mut expect: Vec<String> = corpus.iter().map(|p| p.raw.name.clone()).collect();
-        names.sort();
-        expect.sort();
-        assert_eq!(names, expect);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_manifest_errors() {
         let dir = tmpdir("missing");
-        assert!(matches!(load_project(&dir), Err(LoaderError::Io(_))));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn duplicate_project_names_error() {
-        let spec = CorpusSpec::paper().with_per_taxon(1);
-        let p = &generate_corpus(&spec)[0];
-        let dir = tmpdir("dup");
-        save_project(&dir.join("a"), p).unwrap();
-        save_project(&dir.join("b"), p).unwrap();
-        assert!(matches!(load_corpus(&dir), Err(LoaderError::DuplicateProject(_))));
+        assert!(matches!(read_project(&dir), Err(LoaderError::Io { .. })));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -265,7 +191,7 @@ mod tests {
         let dir = tmpdir("trunc");
         save_project(&dir, p).unwrap();
         fs::remove_file(dir.join("versions/0001.sql")).unwrap();
-        assert!(matches!(load_project(&dir), Err(LoaderError::Io(_))));
+        assert!(matches!(read_project(&dir), Err(LoaderError::Io { .. })));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -273,7 +199,7 @@ mod tests {
     fn corrupt_manifest_errors() {
         let dir = tmpdir("badjson");
         fs::write(dir.join("manifest.json"), "{not json").unwrap();
-        assert!(matches!(load_project(&dir), Err(LoaderError::Json(_))));
+        assert!(matches!(read_project(&dir), Err(LoaderError::Json(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -286,7 +212,7 @@ mod tests {
         )
         .unwrap();
         fs::write(dir.join("git.log"), "").unwrap();
-        assert!(matches!(load_project(&dir), Err(LoaderError::BadDialect(_))));
+        assert!(matches!(read_project(&dir), Err(LoaderError::BadDialect(_))));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -62,6 +62,7 @@ pub fn net_growth(history: &SchemaHistory) -> (i64, i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema_diff::MatchPolicy;
     use coevo_ddl::Dialect;
     use coevo_heartbeat::DateTime;
 
@@ -69,6 +70,7 @@ mod tests {
         SchemaHistory::from_ddl_texts(
             texts.iter().map(|(d, sql)| (DateTime::parse(d).unwrap(), *sql)),
             Dialect::Generic,
+            MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap()
@@ -126,6 +128,7 @@ mod tests {
         let h = SchemaHistory::from_ddl_texts(
             texts.iter().map(|(d, s)| (DateTime::parse(d).unwrap(), s.as_str())),
             Dialect::Generic,
+            MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap();

@@ -122,19 +122,10 @@ impl SchemaHistory {
         Some(Self { versions, deltas, stats })
     }
 
-    /// Build a history from dated DDL texts, parsing each version through a
-    /// fresh content-addressed [`ParseCache`] (byte-identical versions parse
-    /// once and share one `Arc<Schema>`).
-    pub fn from_ddl_texts<'a, I>(texts: I, dialect: Dialect) -> Result<Option<Self>, ParseError>
-    where
-        I: IntoIterator<Item = (DateTime, &'a str)>,
-    {
-        Self::from_ddl_texts_with(texts, dialect, MatchPolicy::ByName)
-    }
-
-    /// [`SchemaHistory::from_ddl_texts`] under an explicit matching policy
-    /// (e.g. rename detection).
-    pub fn from_ddl_texts_with<'a, I>(
+    /// Build a history from dated DDL texts under `policy`, parsing each
+    /// version through a fresh content-addressed [`ParseCache`]
+    /// (byte-identical versions parse once and share one `Arc<Schema>`).
+    pub fn from_ddl_texts<'a, I>(
         texts: I,
         dialect: Dialect,
         policy: MatchPolicy,
@@ -142,34 +133,7 @@ impl SchemaHistory {
     where
         I: IntoIterator<Item = (DateTime, &'a str)>,
     {
-        Self::from_ddl_texts_cached_with(texts, dialect, &mut ParseCache::new(), policy)
-    }
-
-    /// [`SchemaHistory::from_ddl_texts`] against a caller-owned cache, so the
-    /// caller can observe hit/miss counters (the engine surfaces them in
-    /// `coevo study --profile`).
-    pub fn from_ddl_texts_cached<'a, I>(
-        texts: I,
-        dialect: Dialect,
-        cache: &mut ParseCache,
-    ) -> Result<Option<Self>, ParseError>
-    where
-        I: IntoIterator<Item = (DateTime, &'a str)>,
-    {
-        Self::from_ddl_texts_cached_with(texts, dialect, cache, MatchPolicy::ByName)
-    }
-
-    /// [`SchemaHistory::from_ddl_texts_cached`] under an explicit matching
-    /// policy.
-    pub fn from_ddl_texts_cached_with<'a, I>(
-        texts: I,
-        dialect: Dialect,
-        cache: &mut ParseCache,
-        policy: MatchPolicy,
-    ) -> Result<Option<Self>, ParseError>
-    where
-        I: IntoIterator<Item = (DateTime, &'a str)>,
-    {
+        let mut cache = ParseCache::new();
         let mut versions = Vec::new();
         for (date, sql) in texts {
             versions.push(SchemaVersion { date, schema: cache.parse(sql, dialect)? });
@@ -245,6 +209,7 @@ mod tests {
         SchemaHistory::from_ddl_texts(
             texts.iter().map(|(d, sql)| (dt(d), *sql)),
             Dialect::Generic,
+            MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap()
@@ -296,6 +261,7 @@ mod tests {
         let r = SchemaHistory::from_ddl_texts(
             vec![(dt("2015-01-01 10:00:00 +0000"), "CREATE TABLE t (a INT")],
             Dialect::Generic,
+            MatchPolicy::ByName,
         );
         assert!(r.is_err());
     }

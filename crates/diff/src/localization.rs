@@ -93,6 +93,7 @@ pub fn gini_coefficient(values: &[u64]) -> f64 {
 mod tests {
     use super::*;
     use crate::history::SchemaHistory;
+    use crate::schema_diff::MatchPolicy;
     use coevo_ddl::Dialect;
     use coevo_heartbeat::DateTime;
 
@@ -104,6 +105,7 @@ mod tests {
         SchemaHistory::from_ddl_texts(
             texts.iter().map(|(d, sql)| (dt(d), *sql)),
             Dialect::Generic,
+            MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap()

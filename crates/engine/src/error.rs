@@ -1,10 +1,9 @@
 //! Structured errors for the execution engine.
 //!
-//! The engine replaces the corpus pipeline's stringly-typed errors with
-//! [`EngineError`]: a typed error that keeps the underlying parser error
-//! (with its source position) reachable through
-//! [`std::error::Error::source`], and carries the project name and the
-//! [`Stage`] at which processing stopped.
+//! Every per-project failure is an [`EngineError`]: a typed error that
+//! keeps the underlying parser error (with its source position) reachable
+//! through [`std::error::Error::source`], and carries the project name and
+//! the [`Stage`] at which processing stopped.
 
 use std::fmt;
 

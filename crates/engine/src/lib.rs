@@ -42,7 +42,7 @@ mod error;
 pub mod incremental;
 mod load;
 mod metrics;
-pub mod pipeline;
+mod pipeline;
 mod runner;
 mod store_stage;
 mod streamed;

@@ -2,16 +2,17 @@
 //! [`Source`] that yields projects in global corpus order, one admission
 //! batch at a time.
 //!
-//! Per-project load problems (an unreadable manifest, a corrupt shard
-//! record) become [`ProjectFailure`]s inside the batch that found them;
-//! only an unusable source is a hard error, raised by [`Batches::plan`].
+//! On-disk projects are read with `coevo_corpus::loader::read_project`, the
+//! one reader of the directory layout. Per-project load problems (an
+//! unreadable manifest, a corrupt shard record, a project name that another
+//! directory already claimed) become [`ProjectFailure`]s inside the batch
+//! that found them; only an unusable source is a hard error, raised by
+//! [`Batches::plan`].
 
 use crate::error::{EngineError, EngineErrorKind, ProjectFailure, Stage};
 use crate::runner::Source;
-use coevo_corpus::loader::Manifest;
+use coevo_corpus::loader::{read_manifest, read_project};
 use coevo_corpus::{CorpusSpec, ProjectArtifacts};
-use coevo_ddl::Dialect;
-use coevo_heartbeat::DateTime;
 use std::path::{Path, PathBuf};
 
 /// One admission batch: the projects to run plus any load failures found
@@ -38,7 +39,8 @@ pub(crate) enum Batches {
         cap: usize,
     },
     /// Load `cap` project directories at a time, in manifest-name order
-    /// (established by a cheap manifest-only pre-pass).
+    /// (established by a cheap manifest-only pre-pass that also rejects
+    /// repeated names).
     OnDisk { dirs: Vec<PathBuf>, next: usize, pre_failures: Vec<ProjectFailure>, cap: usize },
     /// Slice the given vector `cap` projects at a time.
     InMemory { projects: std::vec::IntoIter<ProjectArtifacts>, cap: usize },
@@ -124,13 +126,9 @@ impl Batches {
                 while projects.len() < *cap && *next < dirs.len() {
                     let pdir = &dirs[*next];
                     *next += 1;
-                    match load_project_raw(pdir) {
+                    match read_project(pdir) {
                         Ok(project) => projects.push(project),
-                        Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                            project: dir_name(pdir),
-                            stage: Stage::Load,
-                            kind,
-                        })),
+                        Err(e) => failures.push(load_failure(pdir, e.to_string())),
                     }
                 }
                 if projects.is_empty() && failures.is_empty() {
@@ -157,11 +155,22 @@ fn dir_name(dir: &Path) -> String {
         .unwrap_or_else(|| dir.display().to_string())
 }
 
+/// A load failure labeled with the project directory's name.
+fn load_failure(dir: &Path, cause: String) -> ProjectFailure {
+    ProjectFailure::from(EngineError {
+        project: dir_name(dir),
+        stage: Stage::Load,
+        kind: EngineErrorKind::Load(cause),
+    })
+}
+
 /// The on-disk pre-pass: find every project directory (any subdirectory
-/// containing a `manifest.json`) and order them by *manifest* name, the
-/// order of `coevo_corpus::loader::load_corpus`, from a manifest-only read
-/// that holds no version texts. Directories whose manifest cannot be read
-/// become load failures here.
+/// containing a `manifest.json`) and order them by *manifest* name from a
+/// manifest-only read that holds no version texts. Directories whose
+/// manifest cannot be read become load failures here, and so does every
+/// directory after the first (in directory order) that declares an
+/// already-seen project name: the study keys results by name, so running
+/// both would count one project twice.
 #[allow(clippy::type_complexity)]
 fn plan_on_disk(dir: &Path) -> Result<(Vec<PathBuf>, Vec<ProjectFailure>), EngineError> {
     let entries = std::fs::read_dir(dir).map_err(|e| EngineError {
@@ -181,44 +190,27 @@ fn plan_on_disk(dir: &Path) -> Result<(Vec<PathBuf>, Vec<ProjectFailure>), Engin
     for pdir in project_dirs {
         match read_manifest(&pdir) {
             Ok(m) => named.push((m.name, pdir)),
-            Err(kind) => failures.push(ProjectFailure::from(EngineError {
-                project: dir_name(&pdir),
-                stage: Stage::Load,
-                kind,
-            })),
+            Err(e) => failures.push(load_failure(&pdir, e.to_string())),
         }
     }
-    // Stable sort by manifest name: equal names keep directory order.
+    // Stable sort by manifest name: equal names keep directory order, so
+    // the first directory of a repeated name is the one that runs.
     named.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok((named.into_iter().map(|(_, p)| p).collect(), failures))
-}
-
-fn read_manifest(dir: &Path) -> Result<Manifest, EngineErrorKind> {
-    let text = std::fs::read_to_string(dir.join("manifest.json"))
-        .map_err(|e| EngineErrorKind::Load(format!("manifest.json: {e}")))?;
-    coevo_corpus::loader::manifest_from_json(&text)
-        .map_err(|e| EngineErrorKind::Load(e.to_string()))
-}
-
-/// Read one project directory's raw artifacts without running the pipeline
-/// (parsing happens inside the instrumented worker stages).
-fn load_project_raw(dir: &Path) -> Result<ProjectArtifacts, EngineErrorKind> {
-    let io = |what: &str, e: std::io::Error| EngineErrorKind::Load(format!("{what}: {e}"));
-    let manifest = read_manifest(dir)?;
-    let dialect = Dialect::from_name(&manifest.dialect).ok_or_else(|| {
-        EngineErrorKind::Load(format!("unknown dialect {:?}", manifest.dialect))
-    })?;
-    let git_log = std::fs::read_to_string(dir.join("git.log")).map_err(|e| io("git.log", e))?;
-    let mut ddl_versions = Vec::with_capacity(manifest.versions.len());
-    for v in &manifest.versions {
-        let date = DateTime::parse(&v.date)
-            .map_err(|_| EngineErrorKind::Load(format!("bad date {:?}", v.date)))?;
-        let text = std::fs::read_to_string(dir.join("versions").join(&v.file))
-            .map_err(|e| io(&format!("versions/{}", v.file), e))?;
-        ddl_versions.push((date, text));
+    let mut dirs = Vec::with_capacity(named.len());
+    let mut first = 0;
+    for (i, (name, pdir)) in named.iter().enumerate() {
+        if i > 0 && *name == named[first].0 {
+            let cause = format!(
+                "duplicate project name {name:?} (first read from {})",
+                dir_name(&named[first].1)
+            );
+            failures.push(load_failure(pdir, cause));
+        } else {
+            first = i;
+            dirs.push(pdir.clone());
+        }
     }
-    let taxon = manifest.taxon.as_deref().and_then(coevo_taxa::Taxon::parse);
-    Ok(ProjectArtifacts { name: manifest.name, taxon, dialect, ddl_versions, git_log })
+    Ok((dirs, failures))
 }
 
 /// Open a sharded corpus, mapping an unusable corpus (missing manifest,

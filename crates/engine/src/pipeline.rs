@@ -1,16 +1,17 @@
-//! The typed per-project measurement pipeline the engine's workers run:
-//! parse → diff → heartbeat → measure, with per-stage [`Metrics`] spans and
-//! [`EngineError`] failures that keep the underlying parser error.
+//! The per-project measurement pipeline: parse → diff → heartbeat →
+//! measure, with per-stage [`Metrics`] spans and [`EngineError`] failures
+//! that keep the underlying parser error.
 //!
-//! This is the structured counterpart of the stringly-typed entry points in
-//! [`coevo_corpus::pipeline`], which the on-disk loader, the CLI and the
-//! tests still use for single projects outside the engine.
+//! This is the only code that turns a project's raw texts into
+//! [`ProjectData`]. The engine's workers run it for every project of a
+//! study, and [`crate::StudyRunner::run_project`] runs it for one; generated,
+//! sharded and on-disk projects all reach it as [`ProjectArtifacts`].
 
 use crate::allocs;
 use crate::error::{EngineError, EngineErrorKind, Stage};
 use crate::metrics::Metrics;
 use coevo_core::{ProjectData, ProjectMeasures};
-use coevo_corpus::{GeneratedProject, ProjectArtifacts};
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::ParseCache;
 use coevo_diff::{MatchPolicy, SchemaHistory, SchemaVersion};
 use coevo_taxa::TaxonomyConfig;
@@ -85,21 +86,14 @@ pub(crate) fn process(
     Ok((data, measures))
 }
 
-/// Run the typed pipeline on one generated project, attaching the
-/// generator's taxon label.
-pub fn project_from_generated(p: &GeneratedProject) -> Result<ProjectData, EngineError> {
-    let project = ProjectArtifacts::from_generated(p);
-    process(&project, &TaxonomyConfig::default(), MatchPolicy::ByName, &Metrics::new())
-        .map(|(data, _)| data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{StudyConfig, StudyRunner};
-    use coevo_corpus::{generate_corpus, CorpusSpec};
+    use coevo_corpus::{generate_corpus, CorpusSpec, GeneratedProject};
     use coevo_ddl::Dialect;
     use coevo_heartbeat::DateTime;
+    use coevo_taxa::Taxon;
 
     const GOOD_LOG: &str =
         "commit abc\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    m\n\nM\tf\n";
@@ -126,24 +120,86 @@ mod tests {
         StudyRunner::new(StudyConfig::default()).run_project(&artifacts(git_log, ddl_versions))
     }
 
-    #[test]
-    fn matches_corpus_text_pipeline_on_generated_projects() {
+    /// A generated project through `run_project`; the artifacts carry the
+    /// generator's taxon label.
+    fn project_of(p: &GeneratedProject) -> Result<ProjectData, EngineError> {
+        StudyRunner::new(StudyConfig::default())
+            .run_project(&ProjectArtifacts::from_generated(p))
+            .map(|(data, _)| data)
+    }
+
+    fn small_corpus() -> Vec<GeneratedProject> {
         let mut spec = CorpusSpec::paper();
         for t in &mut spec.taxa {
-            t.count = 1;
+            t.count = 2;
         }
-        for p in generate_corpus(&spec) {
-            let typed = project_from_generated(&p).expect("typed pipeline");
-            let reference = coevo_corpus::project_from_texts(
-                &p.raw.name,
-                &p.git_log,
-                &p.raw.ddl_versions,
-                p.raw.dialect,
-            )
-            .map(|d| d.with_taxon(p.raw.taxon))
-            .expect("corpus pipeline");
-            assert_eq!(typed, reference, "{}", p.raw.name);
+        generate_corpus(&spec)
+    }
+
+    #[test]
+    fn pipeline_runs_on_generated_projects() -> Result<(), EngineError> {
+        for p in small_corpus() {
+            let data = project_of(&p)?;
+            assert_eq!(data.taxon, Some(p.raw.taxon));
+            assert!(data.project.total() > 0);
+            assert!(data.schema.total() > 0, "{}", p.raw.name);
+            assert!(data.birth_activity > 0);
         }
+        Ok(())
+    }
+
+    #[test]
+    fn schema_heartbeat_reflects_scheduled_activity() {
+        for p in small_corpus() {
+            let data = project_of(&p).unwrap();
+            // Birth activity equals the initial schema's attribute count.
+            let initial = coevo_ddl::parse_schema(&p.raw.ddl_versions[0].1, p.raw.dialect)
+                .unwrap()
+                .attribute_count() as u64;
+            assert_eq!(data.birth_activity, initial, "{}", p.raw.name);
+            // Frozen projects have no post-birth activity.
+            if p.raw.taxon == Taxon::Frozen {
+                assert_eq!(data.schema.total(), initial);
+            }
+        }
+    }
+
+    #[test]
+    fn project_axis_spans_schema_axis() {
+        for p in small_corpus() {
+            let data = project_of(&p).unwrap();
+            assert!(data.project.start() <= data.schema.start(), "{}", p.raw.name);
+        }
+    }
+
+    #[test]
+    fn classifier_recovers_generated_taxa_mostly() {
+        // The rule-based classifier should agree with the generator's labels
+        // for a clear majority — they encode the same archetypes.
+        let mut spec = CorpusSpec::paper();
+        for t in &mut spec.taxa {
+            t.count = 8;
+        }
+        let corpus = generate_corpus(&spec);
+        let cfg = TaxonomyConfig::default();
+        let mut agree = 0;
+        let mut total = 0;
+        for p in &corpus {
+            let data = project_of(p).unwrap();
+            let mut unlabeled = data.clone();
+            unlabeled.taxon = None;
+            if unlabeled.effective_taxon(&cfg) == p.raw.taxon {
+                agree += 1;
+            }
+            total += 1;
+        }
+        assert!(agree * 3 >= total * 2, "classifier agreement too low: {agree}/{total}");
+    }
+
+    #[test]
+    fn missing_artifacts_error() {
+        let err = run_project("", &[]).unwrap_err();
+        assert!(matches!(err.kind, EngineErrorKind::Empty(_)));
     }
 
     #[test]

@@ -201,7 +201,9 @@ impl StudyRunner {
     /// result store, so a store-backed call is served from / published to
     /// the same entries as a full [`StudyRunner::run`].
     ///
-    /// This is the oracle's re-run entry point: two calls with equal
+    /// This is the only way from one project's raw texts to its
+    /// [`ProjectData`] outside a full run (`coevo measure`, `coevo
+    /// case-study` and the oracle's re-runs use it): two calls with equal
     /// artifacts and equal config return equal results, bit for bit.
     pub fn run_project(
         &self,
@@ -395,12 +397,13 @@ mod tests {
     #[test]
     fn engine_matches_free_function_study() {
         let spec = small_spec(1);
-        let report = StudyRunner::new(StudyConfig::default())
-            .run(Source::Spec(spec.clone()))
-            .expect("engine run");
+        let runner = StudyRunner::new(StudyConfig::default());
+        let report = runner.run(Source::Spec(spec.clone())).expect("engine run");
         let projects: Vec<_> = coevo_corpus::generate_corpus(&spec)
             .iter()
-            .map(|p| crate::pipeline::project_from_generated(p).expect("pipeline"))
+            .map(|p| {
+                runner.run_project(&ProjectArtifacts::from_generated(p)).expect("pipeline").0
+            })
             .collect();
         let reference = Study::new(projects).run();
         assert_eq!(report.results, reference);

@@ -26,7 +26,7 @@
 use coevo_compat::{classify_history, verdict_for_step, CompatLevel, StepClassification};
 use coevo_corpus::{plant_compat_project, PlantedProject};
 use coevo_ddl::print_schema;
-use coevo_diff::{diff_constraints, SchemaHistory};
+use coevo_diff::{diff_constraints, MatchPolicy, SchemaHistory};
 
 /// Aggregate evidence counters of one compat sweep, for the report line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,6 +64,7 @@ fn history_of(p: &PlantedProject) -> Result<SchemaHistory, String> {
     SchemaHistory::from_ddl_texts(
         p.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
         p.dialect,
+        MatchPolicy::ByName,
     )
     .map_err(|e| format!("planted DDL failed to parse: {e}"))?
     .ok_or_else(|| "planted project produced an empty history".to_string())
@@ -203,6 +204,7 @@ fn permuted_levels(p: &PlantedProject) -> Result<Vec<CompatLevel>, String> {
     let history = SchemaHistory::from_ddl_texts(
         reversed.iter().map(|(d, s)| (*d, s.as_str())),
         p.dialect,
+        MatchPolicy::ByName,
     )
     .map_err(|e| format!("permuted DDL failed to parse: {e}"))?
     .ok_or_else(|| "permuted history empty".to_string())?;

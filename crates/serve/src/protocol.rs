@@ -56,6 +56,12 @@ impl Request {
             ddl: None,
         }
     }
+
+    /// Parse one request line; a line that is not a request yields the
+    /// error message to answer it with.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        serde_json::from_str(line).map_err(|e| format!("bad request: {e}"))
+    }
 }
 
 /// One event on the wire. `kind` selects the shape: `"commit"` reads

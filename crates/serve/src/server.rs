@@ -7,6 +7,7 @@
 //! listener with a loopback connection so the accept loop observes the flag
 //! without platform-specific listener teardown.
 
+use crate::protocol::{Request, Response};
 use crate::state::ServeState;
 use crate::ServeConfig;
 use coevo_store::StoreError;
@@ -120,11 +121,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         if line.trim().is_empty() {
             continue;
         }
-        let shutting_down;
+        // Parse once and dispatch on the parsed command: a request that only
+        // mentions "shutdown" (say, as a project name) must not stop us.
+        let request = Request::parse(&line);
+        let shutting_down = request.as_ref().is_ok_and(|req| req.cmd == "shutdown");
         let response = {
             let mut state = shared.state.lock().expect("serve state lock");
-            let response = state.handle_line(&line);
-            shutting_down = response.ok && line.contains("\"shutdown\"");
+            let response = match request {
+                Ok(req) => state.handle(&req),
+                Err(e) => Response::err(e),
+            };
             if shutting_down {
                 // Bounded crash-loss is the contract while running; zero
                 // loss is the contract on clean shutdown.
@@ -148,7 +154,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Request, Response, WireEvent};
+    use crate::protocol::WireEvent;
     use coevo_taxa::TaxonomyConfig;
     use std::io::BufRead;
 
@@ -232,6 +238,30 @@ mod tests {
         assert!(answer.contains("\"ok\":false"));
         assert!(client.roundtrip(&Request::bare("ping")).ok);
 
+        assert!(client.roundtrip(&Request::bare("shutdown")).ok);
+        handle.join().expect("server thread");
+    }
+
+    #[test]
+    fn project_named_shutdown_does_not_stop_the_server() {
+        let (addr, handle) = spawn_server(None);
+        let mut client = Client::connect(addr);
+        let resp = client.roundtrip(&Request {
+            cmd: "ingest".into(),
+            project: Some("shutdown".into()),
+            dialect: None,
+            taxon: None,
+            ddl: None,
+            events: Some(vec![
+                WireEvent::commit("2020-01-05 00:00:00 +0000", 1),
+                WireEvent::ddl("2020-01-06 00:00:00 +0000", "CREATE TABLE t (id INT);"),
+            ]),
+        });
+        assert!(resp.ok, "{:?}", resp.error);
+        // The server is still up: the same connection is answered, and so is
+        // a fresh one.
+        assert!(client.roundtrip(&Request::bare("ping")).ok);
+        assert!(Client::connect(addr).roundtrip(&Request::bare("ping")).ok);
         assert!(client.roundtrip(&Request::bare("shutdown")).ok);
         handle.join().expect("server thread");
     }

@@ -7,9 +7,8 @@
 
 use coevo_core::synchronicity::theta_synchronicity;
 use coevo_corpus::case_study_project;
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_engine::{StudyConfig, StudyRunner};
 use coevo_report::linechart::joint_progress_chart;
-use coevo_taxa::TaxonomyConfig;
 use coevo_vcs::monthly::repo_stats;
 
 fn main() {
@@ -22,14 +21,13 @@ fn main() {
     println!("  file updates:       {} (paper: 259)", stats.file_updates);
     println!("  schema commits:     {} (paper: 13)", stats.path_commits);
 
-    let data = project_from_texts(cs.name, &cs.git_log, &cs.ddl_versions, cs.dialect)
-        .expect("pipeline");
+    let (data, m) =
+        StudyRunner::new(StudyConfig::default()).run_project(&cs).expect("pipeline");
     let jp = data.joint_progress();
     println!("  project period:     {} months (paper: 22)", jp.months());
     println!("  schema period:      {} months (paper: 20)", data.schema.months());
     println!("  schema change at start-up: {:.0}% (paper: 48%)", jp.schema[0] * 100.0);
 
-    let m = data.measures(&TaxonomyConfig::default());
     println!(
         "  50% of schema change at {:.0}% of life (paper: 55%)",
         m.attainment.at_50.unwrap() * 100.0

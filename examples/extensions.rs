@@ -16,7 +16,9 @@
 
 use coevo_corpus::{generate_corpus, CorpusSpec};
 use coevo_ddl::{parse_schema, Dialect};
-use coevo_diff::{change_localization, diff_schemas, schema_size_series, SchemaHistory};
+use coevo_diff::{
+    change_localization, diff_schemas, schema_size_series, MatchPolicy, SchemaHistory,
+};
 use coevo_impact::{ImpactAnalyzer, ScanConfig};
 use coevo_stats::{linear_fit, median};
 use coevo_taxa::Taxon;
@@ -34,6 +36,7 @@ fn main() {
         let history = SchemaHistory::from_ddl_texts(
             p.raw.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
             p.raw.dialect,
+            MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap();

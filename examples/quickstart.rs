@@ -9,10 +9,10 @@
 //! dated versions of the schema DDL file.
 
 use coevo_core::synchronicity::theta_synchronicity;
-use coevo_corpus::pipeline::project_from_texts;
+use coevo_corpus::ProjectArtifacts;
 use coevo_ddl::Dialect;
+use coevo_engine::{StudyConfig, StudyRunner};
 use coevo_heartbeat::DateTime;
-use coevo_taxa::TaxonomyConfig;
 
 const GIT_LOG: &str = "\
 commit 3333333333333333333333333333333333333333
@@ -79,13 +79,19 @@ CREATE TABLE invoices (
 ";
 
 fn main() {
-    let versions = vec![
-        (DateTime::parse("2019-01-10 11:00:00 +0000").unwrap(), SCHEMA_V1.to_string()),
-        (DateTime::parse("2019-05-02 17:12:00 +0000").unwrap(), SCHEMA_V2.to_string()),
-    ];
+    let project = ProjectArtifacts {
+        name: "acme/billing".to_string(),
+        taxon: None,
+        dialect: Dialect::MySql,
+        ddl_versions: vec![
+            (DateTime::parse("2019-01-10 11:00:00 +0000").unwrap(), SCHEMA_V1.to_string()),
+            (DateTime::parse("2019-05-02 17:12:00 +0000").unwrap(), SCHEMA_V2.to_string()),
+        ],
+        git_log: GIT_LOG.to_string(),
+    };
 
-    let data = project_from_texts("acme/billing", GIT_LOG, &versions, Dialect::MySql)
-        .expect("pipeline");
+    let (data, m) =
+        StudyRunner::new(StudyConfig::default()).run_project(&project).expect("pipeline");
 
     println!("project: {}", data.name);
     println!("project heartbeat (files/month): {:?}", data.project.activity());
@@ -105,7 +111,6 @@ fn main() {
         );
     }
 
-    let m = data.measures(&TaxonomyConfig::default());
     println!("\n10%-synchronicity: {:.2}", m.sync_10);
     println!("sanity: recomputed = {:.2}", theta_synchronicity(&jp.project, &jp.schema, 0.10));
     println!("advance over time: {:?}", m.advance.over_time);

@@ -1,5 +1,5 @@
 //! The real-data path: persist a project history to disk in the loader
-//! layout (manifest + versions/ + git.log), load it back, and measure it.
+//! layout (manifest + versions/ + git.log), read it back, and measure it.
 //!
 //! With a real clone you would produce the same layout via:
 //!
@@ -13,9 +13,9 @@
 //! cargo run --example real_data
 //! ```
 
-use coevo_corpus::loader::{load_project, save_project};
+use coevo_corpus::loader::{read_project, save_project};
 use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_taxa::TaxonomyConfig;
+use coevo_engine::{StudyConfig, StudyRunner};
 
 fn main() {
     // Stand in for a real clone with one generated project.
@@ -34,8 +34,9 @@ fn main() {
         println!("  {}", entry.unwrap().path().display());
     }
 
-    let data = load_project(&dir).expect("load");
-    let m = data.measures(&TaxonomyConfig::default());
+    let artifacts = read_project(&dir).expect("read");
+    let (data, m) =
+        StudyRunner::new(StudyConfig::default()).run_project(&artifacts).expect("pipeline");
     println!("\nloaded & measured {}:", data.name);
     println!("  lifetime: {} months", m.months);
     println!("  schema total activity: {}", m.schema_total_activity);

@@ -6,8 +6,8 @@
 //! cargo run --example taxonomy_explorer
 //! ```
 
-use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_engine::pipeline::project_from_generated;
+use coevo_corpus::{generate_corpus, CorpusSpec, ProjectArtifacts};
+use coevo_engine::{StudyConfig, StudyRunner};
 use coevo_report::linechart::joint_progress_chart;
 use coevo_taxa::{Taxon, TaxonomyConfig};
 
@@ -22,13 +22,14 @@ fn main() {
     }
     let corpus = generate_corpus(&spec);
     let cfg = TaxonomyConfig::default();
+    let runner = StudyRunner::new(StudyConfig::default());
 
     for p in &corpus {
-        let data = project_from_generated(p).expect("pipeline");
+        let (data, m) =
+            runner.run_project(&ProjectArtifacts::from_generated(p)).expect("pipeline");
         let mut unlabeled = data.clone();
         unlabeled.taxon = None;
         let classified = unlabeled.effective_taxon(&cfg);
-        let m = data.measures(&cfg);
 
         println!("=== {} ===", p.raw.taxon.name());
         println!("generated label: {} | classifier says: {}", p.raw.taxon, classified);

@@ -4,18 +4,12 @@
 //! measured-vs-paper report.
 
 use coevo_core::Study;
-use coevo_corpus::{generate_corpus, project_from_texts, CorpusSpec};
+use coevo_corpus::{generate_corpus, CorpusSpec};
+use coevo_integration::measure_generated;
 
 fn run_study() -> coevo_core::StudyResults {
     let corpus = generate_corpus(&CorpusSpec::paper());
-    let projects: Vec<_> = corpus
-        .iter()
-        .map(|p| {
-            project_from_texts(&p.raw.name, &p.git_log, &p.raw.ddl_versions, p.raw.dialect)
-                .map(|d| d.with_taxon(p.raw.taxon))
-                .expect("pipeline")
-        })
-        .collect();
+    let projects: Vec<_> = corpus.iter().map(measure_generated).collect();
     Study::new(projects).run()
 }
 

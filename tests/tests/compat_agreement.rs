@@ -12,7 +12,7 @@
 
 use coevo_compat::{classify_history, verdict_for_step, CompatLevel};
 use coevo_corpus::plant_compat_project;
-use coevo_diff::{diff_constraints, diff_schemas, SchemaHistory};
+use coevo_diff::{diff_constraints, diff_schemas, MatchPolicy, SchemaHistory};
 use coevo_query::breaking_queries;
 use proptest::prelude::*;
 
@@ -31,6 +31,7 @@ proptest! {
         let history = SchemaHistory::from_ddl_texts(
             planted.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
             planted.dialect,
+            MatchPolicy::ByName,
         )
         .expect("planted DDL parses")
         .expect("planted history is nonempty");

@@ -2,12 +2,12 @@
 //! text pipeline, satisfies the structural properties the study relies on.
 
 use coevo_corpus::{generate_corpus, CorpusSpec};
-use coevo_engine::pipeline::project_from_generated;
+use coevo_integration::measure_generated;
 use coevo_taxa::{Taxon, TaxonomyConfig};
 
 fn corpus_data() -> Vec<(coevo_core::ProjectData, Taxon)> {
     let corpus = generate_corpus(&CorpusSpec::paper());
-    corpus.iter().map(|p| (project_from_generated(p).expect("pipeline"), p.raw.taxon)).collect()
+    corpus.iter().map(|p| (measure_generated(p), p.raw.taxon)).collect()
 }
 
 #[test]
@@ -95,10 +95,11 @@ fn ddl_activity_agrees_between_declared_and_diffed() {
         let history = coevo_diff::SchemaHistory::from_ddl_texts(
             p.raw.ddl_versions.iter().map(|(d, s)| (*d, s.as_str())),
             p.raw.dialect,
+            coevo_diff::MatchPolicy::ByName,
         )
         .unwrap()
         .unwrap();
-        let data = project_from_generated(p).unwrap();
+        let data = measure_generated(p);
         assert_eq!(history.total_activity(), data.schema.total(), "{}", p.raw.name);
         assert_eq!(history.heartbeat(), data.schema, "{}", p.raw.name);
     }

@@ -1,6 +1,6 @@
 //! Determinism of the execution engine: the parallel study must be
-//! byte-identical to the sequential one, both must match the free-function
-//! pipeline mapped sequentially, and the fingerprinted incremental diff core must
+//! byte-identical to the sequential one, both must match the single-project
+//! entry point (`StudyRunner::run_project`) mapped sequentially, and the fingerprinted incremental diff core must
 //! reproduce the pre-refactor accounting exactly — all over the full
 //! 195-project corpus.
 
@@ -35,10 +35,8 @@ fn parallel_study_is_byte_identical_to_sequential() {
 #[test]
 fn engine_matches_free_function_pipeline_on_full_corpus() {
     let corpus = coevo_corpus::generate_corpus(&coevo_corpus::CorpusSpec::paper());
-    let reference_projects: Vec<_> = corpus
-        .iter()
-        .map(|p| coevo_engine::pipeline::project_from_generated(p).expect("pipeline"))
-        .collect();
+    let reference_projects: Vec<_> =
+        corpus.iter().map(coevo_integration::measure_generated).collect();
     let reference = Study::new(reference_projects.clone()).run();
 
     let report =
@@ -54,7 +52,6 @@ fn engine_matches_free_function_pipeline_on_full_corpus() {
 
 #[test]
 fn incremental_diff_matches_legacy_accounting_on_full_corpus() {
-    use coevo_ddl::ParseCache;
     use coevo_diff::{DiffMode, MatchPolicy, SchemaHistory, SchemaVersion};
     use std::sync::Arc;
 
@@ -83,11 +80,10 @@ fn incremental_diff_matches_legacy_accounting_on_full_corpus() {
         .expect("non-empty history");
 
         // Fingerprinted path: shared-Arc parse cache + incremental diff.
-        let mut cache = ParseCache::new();
-        let incremental = SchemaHistory::from_ddl_texts_cached(
+        let incremental = SchemaHistory::from_ddl_texts(
             p.raw.ddl_versions.iter().map(|(d, t)| (*d, t.as_str())),
             p.raw.dialect,
-            &mut cache,
+            MatchPolicy::ByName,
         )
         .expect("parse")
         .expect("non-empty history");

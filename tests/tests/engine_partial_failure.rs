@@ -107,3 +107,38 @@ fn fail_fast_aborts_on_first_corrupt_project() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Two directories declaring one project name: the first (in directory
+/// order) runs, the second is a load failure that names it, and the study
+/// counts the project once.
+#[test]
+fn duplicate_project_names_are_load_failures() {
+    let dir =
+        std::env::temp_dir().join(format!("coevo_engine_fail_dup_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let corpus = generate_corpus(&CorpusSpec::paper().with_per_taxon(1));
+    for p in &corpus {
+        save_project(&dir.join(p.raw.name.replace('/', "__")), p).unwrap();
+    }
+    let original = corpus[0].raw.name.replace('/', "__");
+    save_project(&dir.join("zz-copy"), &corpus[0]).unwrap();
+
+    let report = StudyRunner::new(StudyConfig::default())
+        .run(Source::OnDisk(dir.clone()))
+        .expect("study completes");
+    assert_eq!(report.projects.len(), corpus.len());
+    assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+    let failure = &report.failures[0];
+    assert_eq!((failure.project.as_str(), failure.stage), ("zz-copy", Stage::Load));
+    assert_eq!(
+        failure.cause(),
+        format!("duplicate project name {:?} (first read from {original})", corpus[0].raw.name)
+    );
+
+    let err = StudyRunner::new(StudyConfig::default())
+        .with_failure_policy(FailurePolicy::FailFast)
+        .run(Source::OnDisk(dir.clone()))
+        .unwrap_err();
+    assert_eq!((err.project.as_str(), err.stage), ("zz-copy", Stage::Load));
+    let _ = fs::remove_dir_all(&dir);
+}

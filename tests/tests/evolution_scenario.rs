@@ -3,7 +3,7 @@
 //! the breaking queries — the whole pipeline on one coherent story.
 
 use coevo_ddl::Dialect;
-use coevo_diff::{change_localization, SchemaHistory};
+use coevo_diff::{change_localization, MatchPolicy, SchemaHistory};
 use coevo_heartbeat::DateTime;
 use coevo_query::{breaking_queries, IssueKind};
 
@@ -93,6 +93,7 @@ fn history() -> SchemaHistory {
     SchemaHistory::from_ddl_texts(
         versions().iter().map(|(d, s)| (*d, s.as_str())),
         Dialect::Generic,
+        MatchPolicy::ByName,
     )
     .unwrap()
     .unwrap()

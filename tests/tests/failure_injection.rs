@@ -1,10 +1,11 @@
 //! Failure injection: malformed inputs at every pipeline stage must produce
 //! structured errors (never panics, never silent garbage).
 
-use coevo_corpus::loader::load_project;
-use coevo_corpus::pipeline::{project_from_texts, PipelineError};
+use coevo_corpus::loader::{read_project, LoaderError};
 use coevo_ddl::Dialect;
+use coevo_engine::{EngineErrorKind, StudyConfig, StudyRunner};
 use coevo_heartbeat::DateTime;
+use coevo_integration::measure_texts;
 use coevo_vcs::parse_log;
 use std::fs;
 
@@ -45,9 +46,9 @@ fn broken_ddl_version_fails_with_position() {
         (dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string()),
         (dt("2020-02-01 00:00:00 +0000"), "CREATE TABLE t (a INT".to_string()), // truncated
     ];
-    let err = project_from_texts("x/y", GOOD_LOG, &versions, Dialect::Generic).unwrap_err();
-    match err {
-        PipelineError::Ddl(msg) => assert!(msg.contains("line"), "{msg}"),
+    let err = measure_texts("x/y", GOOD_LOG, &versions, Dialect::Generic).unwrap_err();
+    match err.kind {
+        EngineErrorKind::Ddl(e) => assert!(e.to_string().contains("line"), "{e}"),
         other => panic!("expected Ddl error, got {other:?}"),
     }
 }
@@ -56,10 +57,9 @@ fn broken_ddl_version_fails_with_position() {
 fn bad_git_log_fails_pipeline() {
     let versions =
         vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-    let err =
-        project_from_texts("x/y", "M\tfile-before-any-commit\n", &versions, Dialect::Generic)
-            .unwrap_err();
-    assert!(matches!(err, PipelineError::GitLog(_)));
+    let err = measure_texts("x/y", "M\tfile-before-any-commit\n", &versions, Dialect::Generic)
+        .unwrap_err();
+    assert!(matches!(err.kind, EngineErrorKind::GitLog(_)));
 }
 
 #[test]
@@ -67,14 +67,14 @@ fn merge_only_repository_is_empty() {
     let log = "commit abc\nMerge: 1 2\nAuthor: A <a@b.c>\nDate:   2020-01-01 00:00:00 +0000\n\n    Merge\n\n";
     let versions =
         vec![(dt("2020-01-01 00:00:00 +0000"), "CREATE TABLE t (a INT);".to_string())];
-    let err = project_from_texts("x/y", log, &versions, Dialect::Generic).unwrap_err();
-    assert!(matches!(err, PipelineError::Empty("repository")));
+    let err = measure_texts("x/y", log, &versions, Dialect::Generic).unwrap_err();
+    assert_eq!(err.kind, EngineErrorKind::Empty("repository"));
 }
 
 #[test]
 fn no_versions_is_empty_history() {
-    let err = project_from_texts("x/y", GOOD_LOG, &[], Dialect::Generic).unwrap_err();
-    assert!(matches!(err, PipelineError::Empty("schema history")));
+    let err = measure_texts("x/y", GOOD_LOG, &[], Dialect::Generic).unwrap_err();
+    assert_eq!(err.kind, EngineErrorKind::Empty("schema history"));
 }
 
 fn loader_dir(tag: &str) -> std::path::PathBuf {
@@ -89,7 +89,7 @@ fn loader_corrupt_manifest() {
     let dir = loader_dir("manifest");
     fs::write(dir.join("manifest.json"), "{not json").unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
-    let err = load_project(&dir).unwrap_err();
+    let err = read_project(&dir).unwrap_err();
     assert!(err.to_string().contains("manifest"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -103,8 +103,9 @@ fn loader_missing_version_file() {
     )
     .unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
-    let err = load_project(&dir).unwrap_err();
-    assert!(err.to_string().contains("io"), "{err}");
+    let err = read_project(&dir).unwrap_err();
+    assert!(matches!(err, LoaderError::Io { .. }), "{err}");
+    assert!(err.to_string().contains("versions/0001.sql"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -118,7 +119,7 @@ fn loader_bad_version_date() {
     .unwrap();
     fs::write(dir.join("versions/0001.sql"), "CREATE TABLE t (a INT);").unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
-    let err = load_project(&dir).unwrap_err();
+    let err = read_project(&dir).unwrap_err();
     assert!(err.to_string().contains("bad date"), "{err}");
     let _ = fs::remove_dir_all(&dir);
 }
@@ -133,7 +134,8 @@ fn loader_unknown_taxon_is_ignored_not_fatal() {
     .unwrap();
     fs::write(dir.join("versions/0001.sql"), "CREATE TABLE t (a INT);").unwrap();
     fs::write(dir.join("git.log"), GOOD_LOG).unwrap();
-    let data = load_project(&dir).unwrap();
+    let project = read_project(&dir).unwrap();
+    let (data, _) = StudyRunner::new(StudyConfig::default()).run_project(&project).unwrap();
     assert_eq!(data.taxon, None); // unknown label → classifier will decide
     let _ = fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! pipeline must measure these histories identically to rewritten ones.
 
 use coevo_ddl::{parse_schema, Dialect};
-use coevo_diff::SchemaHistory;
+use coevo_diff::{MatchPolicy, SchemaHistory};
 use coevo_heartbeat::DateTime;
 
 fn dt(s: &str) -> DateTime {
@@ -114,6 +114,7 @@ fn history_activity_is_hand_computable() {
             (dt("2017-04-20"), V4),
         ],
         Dialect::MySql,
+        MatchPolicy::ByName,
     )
     .unwrap()
     .unwrap();

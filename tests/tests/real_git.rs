@@ -2,9 +2,9 @@
 //! binary, extract history with the paper's exact command, and run the
 //! pipeline on its output. Skipped silently when git is unavailable.
 
-use coevo_corpus::pipeline::project_from_texts;
 use coevo_ddl::Dialect;
 use coevo_heartbeat::DateTime;
+use coevo_integration::measure_texts;
 use std::path::Path;
 use std::process::Command;
 
@@ -68,7 +68,7 @@ fn pipeline_accepts_real_git_log_output() {
         (DateTime::parse("2021-01-10 10:00:00 +0000").unwrap(), v1.to_string()),
         (DateTime::parse("2021-04-10 10:00:00 +0000").unwrap(), v2.to_string()),
     ];
-    let data = project_from_texts("real/git", &log, &versions, Dialect::Generic).unwrap();
+    let data = measure_texts("real/git", &log, &versions, Dialect::Generic).unwrap();
 
     // Jan..Apr = 4 months; files updated: Jan 2, Feb 1, Mar 0, Apr 1.
     assert_eq!(data.project.activity(), &[2, 1, 0, 1]);
