@@ -191,10 +191,14 @@ fn rename_profiles(
         (None, Some(dir)) => {
             let stream = coevo_corpus::CorpusStream::open(dir).map_err(io_err)?;
             let manifest = stream.manifest().clone();
+            // Like the study's loader, a corrupt record or unreadable
+            // shard is skipped with a warning; the rest still count.
             for entry in &manifest.shards {
-                let reader = stream.shard_reader(entry).map_err(io_err)?;
-                for project in reader {
-                    profile_one(Ok(project.map_err(io_err)?));
+                match stream.shard_reader(entry) {
+                    Ok(reader) => {
+                        reader.for_each(|p| profile_one(p.map_err(|e| e.to_string())))
+                    }
+                    Err(e) => profile_one(Err(e.to_string())),
                 }
             }
         }
@@ -612,7 +616,14 @@ pub fn compat_corpus(
         BTreeMap::new();
     let mut measured = 0usize;
     let mut skipped: Vec<String> = Vec::new();
-    let mut profile_one = |p: &coevo_corpus::ProjectArtifacts| {
+    let mut profile_one = |p: Result<&coevo_corpus::ProjectArtifacts, String>| {
+        let p = match p {
+            Ok(p) => p,
+            Err(e) => {
+                skipped.push(e);
+                return;
+            }
+        };
         let Some(taxon) = p.taxon else {
             skipped.push(format!("{}: no taxon label", p.name));
             return;
@@ -641,9 +652,11 @@ pub fn compat_corpus(
             let stream = coevo_corpus::CorpusStream::open(dir).map_err(io_err)?;
             let manifest = stream.manifest().clone();
             for entry in &manifest.shards {
-                let reader = stream.shard_reader(entry).map_err(io_err)?;
-                for project in reader {
-                    profile_one(&project.map_err(io_err)?);
+                match stream.shard_reader(entry) {
+                    Ok(reader) => {
+                        reader.for_each(|p| profile_one(p.as_ref().map_err(|e| e.to_string())))
+                    }
+                    Err(e) => profile_one(Err(e.to_string())),
                 }
             }
         }
@@ -654,7 +667,7 @@ pub fn compat_corpus(
             };
             spec.seed = seed;
             for p in &generate_corpus(&spec) {
-                profile_one(&coevo_corpus::ProjectArtifacts::from_generated(p));
+                profile_one(Ok(&coevo_corpus::ProjectArtifacts::from_generated(p)));
             }
         }
     }
@@ -1360,6 +1373,36 @@ mod tests {
         assert!(text.contains("BREAKING"), "{text}");
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.contains("FROZEN-side breaking-rate"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_shard_record_is_skipped_by_renames_and_compat() {
+        let dir = tmp("corruptrecord");
+        let corpus = dir.join("shards");
+        corpus_gen(&corpus, 60, 20, 3, &mut Vec::new()).unwrap();
+        let shard = corpus.join("shards").join("shard-00001.csh");
+        let mut bytes = std::fs::read(&shard).unwrap();
+        // The first record's payload starts at byte 16 (magic 8 + count 4 +
+        // record length 4).
+        bytes[16] = b'!';
+        std::fs::write(&shard, bytes).unwrap();
+
+        let mut renames = Vec::new();
+        study(0, None, None, Some(&corpus), None, None, false, None, true, None, &mut renames)
+            .unwrap();
+        let mut compat = Vec::new();
+        compat_corpus(Some(&corpus), 0, None, &mut compat).unwrap();
+        for out in [renames, compat] {
+            let text = String::from_utf8_lossy(&out);
+            assert!(
+                text.lines().any(|l| l.starts_with("warning: skipped")
+                    && l.contains("shard-00001.csh")
+                    && l.contains("record 0")),
+                "{text}"
+            );
+            assert!(text.lines().any(|l| l.trim_start().starts_with("TOTAL")), "{text}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

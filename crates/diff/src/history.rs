@@ -96,30 +96,48 @@ impl SchemaHistory {
         versions.sort_by_key(|v| v.date.unix_seconds());
         let mut stats = DiffStats::default();
         let mut deltas = Vec::with_capacity(versions.len());
-        let mut prev: &Schema = Schema::empty_ref();
-        let mut prev_arc: Option<&Arc<Schema>> = None;
-        for v in &versions {
-            let delta = match mode {
-                DiffMode::Incremental => {
-                    if prev_arc.is_some_and(|p| Arc::ptr_eq(p, &v.schema)) {
-                        // Shared-Arc fast path: the parse cache deduplicated
-                        // byte-identical versions, so this commit is provably
-                        // inactive without even a fingerprint compare.
-                        stats.schema_diffs += 1;
-                        stats.versions_unchanged += 1;
-                        SchemaDelta { tables: Vec::new() }
-                    } else {
-                        diff_schemas_counted(prev, v.schema.as_ref(), policy, &mut stats)
-                    }
-                }
-                DiffMode::Legacy => diff_schemas_legacy(prev, v.schema.as_ref(), policy),
-            };
-            let breakdown = delta.breakdown();
-            deltas.push(VersionDelta { date: v.date, delta, breakdown });
-            prev = v.schema.as_ref();
-            prev_arc = Some(&v.schema);
+        for (i, v) in versions.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|p| &versions[p].schema);
+            deltas.push(diff_step(prev, v, policy, mode, &mut stats));
         }
         Some(Self { versions, deltas, stats })
+    }
+
+    /// Reassemble a history from versions and deltas computed earlier (a
+    /// persisted snapshot). Nothing is diffed. Returns `None` unless the
+    /// history is non-empty, the versions are in date order, and the deltas
+    /// pair up with them one for one, date for date.
+    pub fn from_parts(versions: Vec<SchemaVersion>, deltas: Vec<VersionDelta>) -> Option<Self> {
+        let paired = versions.len() == deltas.len()
+            && versions.iter().zip(&deltas).all(|(v, d)| v.date == d.date);
+        let sorted =
+            versions.windows(2).all(|w| w[0].date.unix_seconds() <= w[1].date.unix_seconds());
+        (paired && sorted && !versions.is_empty()).then(|| Self {
+            versions,
+            deltas,
+            stats: DiffStats::default(),
+        })
+    }
+
+    /// Insert one more version where [`SchemaHistory::from_schemas`] would
+    /// sort it: after every version dated at or before it. The new version
+    /// is diffed against its predecessor and, when it does not land last,
+    /// its successor is re-diffed against it — never more than two diffs.
+    /// Returns the index the version now occupies.
+    pub fn insert(&mut self, version: SchemaVersion, policy: MatchPolicy) -> usize {
+        let at = self
+            .versions
+            .partition_point(|v| v.date.unix_seconds() <= version.date.unix_seconds());
+        let prev = at.checked_sub(1).map(|p| &self.versions[p].schema);
+        let delta = diff_step(prev, &version, policy, DiffMode::Incremental, &mut self.stats);
+        self.versions.insert(at, version);
+        self.deltas.insert(at, delta);
+        if let Some(succ) = self.versions.get(at + 1) {
+            let prev = Some(&self.versions[at].schema);
+            self.deltas[at + 1] =
+                diff_step(prev, succ, policy, DiffMode::Incremental, &mut self.stats);
+        }
+        at
     }
 
     /// Build a history from dated DDL texts under `policy`, parsing each
@@ -195,6 +213,32 @@ impl SchemaHistory {
     pub fn initial_schema(&self) -> &Schema {
         self.versions.first().expect("non-empty history").schema.as_ref()
     }
+}
+
+/// The one diff step every history is built with: `version` against its
+/// predecessor (`None`: the empty schema, so everything is born). In
+/// incremental mode, shared-`Arc` versions — byte-identical DDL deduplicated
+/// by the parse cache — are provably inactive without even a fingerprint
+/// compare.
+fn diff_step(
+    prev: Option<&Arc<Schema>>,
+    version: &SchemaVersion,
+    policy: MatchPolicy,
+    mode: DiffMode,
+    stats: &mut DiffStats,
+) -> VersionDelta {
+    let old = prev.map_or(Schema::empty_ref(), |p| p.as_ref());
+    let delta = match mode {
+        DiffMode::Legacy => diff_schemas_legacy(old, &version.schema, policy),
+        DiffMode::Incremental if prev.is_some_and(|p| Arc::ptr_eq(p, &version.schema)) => {
+            stats.schema_diffs += 1;
+            stats.versions_unchanged += 1;
+            SchemaDelta { tables: Vec::new() }
+        }
+        DiffMode::Incremental => diff_schemas_counted(old, &version.schema, policy, stats),
+    };
+    let breakdown = delta.breakdown();
+    VersionDelta { date: version.date, delta, breakdown }
 }
 
 #[cfg(test)]
@@ -358,6 +402,50 @@ mod tests {
         assert_eq!(s.tables_diffed, 1);
         assert_eq!(s.tables_skipped, 1);
         assert_eq!(h.total_activity(), 3); // 2 births + 1 type change
+    }
+
+    #[test]
+    fn insert_places_and_rediffs_like_the_batch_sort() {
+        let v = |d: &str, sql: &str| SchemaVersion {
+            date: dt(d),
+            schema: Arc::new(coevo_ddl::parse_schema(sql, Dialect::Generic).unwrap()),
+        };
+        let first = v("2015-01-01 10:00:00 +0000", "CREATE TABLE t (a INT);");
+        let last = v("2015-04-01 10:00:00 +0000", "CREATE TABLE t (a INT, b INT, c INT);");
+        let middle = v("2015-02-01 10:00:00 +0000", "CREATE TABLE t (a INT, b INT);");
+        let tie = v("2015-04-01 10:00:00 +0000", "CREATE TABLE t (a BIGINT, b INT, c INT);");
+
+        let mut h =
+            SchemaHistory::from_schemas(vec![first.clone()], MatchPolicy::ByName).unwrap();
+        assert_eq!(h.insert(last.clone(), MatchPolicy::ByName), 1);
+        assert_eq!(h.deltas()[1].breakdown.total(), 2);
+        // Lands between: the successor's two injections shrink to one.
+        assert_eq!(h.insert(middle.clone(), MatchPolicy::ByName), 1);
+        assert_eq!(h.deltas()[2].breakdown.total(), 1);
+        // An equal date goes after the version already there.
+        assert_eq!(h.insert(tie.clone(), MatchPolicy::ByName), 3);
+
+        let batch =
+            SchemaHistory::from_schemas(vec![first, last, middle, tie], MatchPolicy::ByName)
+                .unwrap();
+        assert_eq!(h, batch);
+        assert_eq!(h.heartbeat(), batch.heartbeat());
+    }
+
+    #[test]
+    fn from_parts_requires_paired_dated_sorted_parts() {
+        let h = history(INACTIVE_HEAVY);
+        let (versions, deltas) = (h.versions().to_vec(), h.deltas().to_vec());
+        assert_eq!(SchemaHistory::from_parts(versions.clone(), deltas.clone()), Some(h));
+        assert!(SchemaHistory::from_parts(versions.clone(), deltas[1..].to_vec()).is_none());
+        let mut shifted = deltas.clone();
+        shifted[2].date = shifted[3].date;
+        assert!(SchemaHistory::from_parts(versions.clone(), shifted).is_none());
+        let mut reversed = (versions, deltas);
+        reversed.0.reverse();
+        reversed.1.reverse();
+        assert!(SchemaHistory::from_parts(reversed.0, reversed.1).is_none());
+        assert!(SchemaHistory::from_parts(Vec::new(), Vec::new()).is_none());
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Property tests on diff invariants.
 
 use coevo_ddl::{Column, Schema, SqlType, Table};
-use coevo_diff::{diff_schemas, diff_schemas_legacy, diff_schemas_with, MatchPolicy};
+use coevo_diff::{
+    diff_schemas, diff_schemas_legacy, diff_schemas_with, DiffMode, MatchPolicy, SchemaHistory,
+    SchemaVersion,
+};
+use coevo_heartbeat::DateTime;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn sql_type_strategy() -> impl Strategy<Value = SqlType> {
     prop_oneof![
@@ -39,6 +44,25 @@ prop_compose! {
         tables.retain(|t| seen.insert(t.key().to_string()));
         Schema::from_tables(tables)
     }
+}
+
+/// Dated versions in arrival order. Dates fall on a 3×3 grid of months and
+/// days, so equal dates are common; `reuse` shares the previous version's
+/// `Arc` (a byte-identical commit through the parse cache); `arrival` keys
+/// shuffle the delivery order away from generation order.
+fn arrivals(raw: Vec<(u8, u8, bool, u32, Schema)>) -> Vec<SchemaVersion> {
+    let mut out: Vec<(u32, SchemaVersion)> = Vec::with_capacity(raw.len());
+    for (month, day, reuse, arrival, schema) in raw {
+        let date =
+            DateTime::parse(&format!("2015-{month:02}-{day:02} 10:00:00 +0000")).unwrap();
+        let schema = match out.last() {
+            Some((_, prev)) if reuse => Arc::clone(&prev.schema),
+            _ => Arc::new(schema),
+        };
+        out.push((arrival, SchemaVersion { date, schema }));
+    }
+    out.sort_by_key(|(arrival, _)| *arrival);
+    out.into_iter().map(|(_, v)| v).collect()
 }
 
 fn sealed(s: &Schema) -> Schema {
@@ -181,5 +205,33 @@ proptest! {
         let direct = diff_schemas(&a, &c).total_activity();
         let via = diff_schemas(&a, &b).total_activity() + diff_schemas(&b, &c).total_activity();
         prop_assert!(direct <= via, "direct {direct} > via {via}");
+    }
+
+    #[test]
+    fn insert_in_arrival_order_equals_from_schemas_and_legacy(
+        raw in prop::collection::vec(
+            (1u8..4, 1u8..4, any::<bool>(), any::<u32>(), schema_strategy()), 1..8),
+    ) {
+        let versions = arrivals(raw);
+        for policy in [MatchPolicy::ByName, MatchPolicy::rename_detection()] {
+            let mut incoming = versions.iter().cloned();
+            let first = incoming.next().unwrap();
+            let mut warm = SchemaHistory::from_schemas(vec![first], policy).unwrap();
+            for v in incoming {
+                warm.insert(v, policy);
+            }
+            let batch = SchemaHistory::from_schemas(versions.clone(), policy).unwrap();
+            let legacy =
+                SchemaHistory::from_schemas_mode(versions.clone(), policy, DiffMode::Legacy)
+                    .unwrap();
+            for reference in [&batch, &legacy] {
+                prop_assert_eq!(warm.deltas(), reference.deltas());
+                prop_assert_eq!(warm.heartbeat(), reference.heartbeat());
+                prop_assert_eq!(
+                    serde_json::to_string(&warm).unwrap(),
+                    serde_json::to_string(reference).unwrap()
+                );
+            }
+        }
     }
 }

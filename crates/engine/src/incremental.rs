@@ -4,27 +4,27 @@
 //! re-running parse → diff → heartbeat → measure over every project. This
 //! module keeps the answer *warm* instead: a [`ProjectState`] ingests typed
 //! [`ProjectEvent`]s (one commit, one DDL version) and maintains exactly the
-//! state the measures need — the sorted version/delta sequence, the two
-//! monthly activity maps, and the [`MeasureFolds`] frontier — so appending
+//! state the measures need — the project's [`SchemaHistory`], the monthly
+//! project activity map, and the [`MeasureFolds`] frontier — so appending
 //! one month of history costs O(1) amortized fold work instead of a
 //! pipeline re-run.
 //!
 //! **Same semantics as batch, by construction.** The folds are the same
-//! fold states `ProjectData::measures` uses; the monthly maps reproduce
+//! fold states `ProjectData::measures` uses; the monthly series reproduce
 //! `Heartbeat::from_events` bucketing (month span = first event month
-//! through last, quiet months zero); version insertion reproduces the
-//! stable date sort of `SchemaHistory::from_schemas`. The `coevo-oracle`
+//! through last, quiet months zero); versions go through
+//! [`SchemaHistory::insert`], which places and diffs them exactly as the
+//! stable date sort of `SchemaHistory::from_schemas` does. The `coevo-oracle`
 //! crate proves the equality corpus-wide, bit for bit.
 //!
 //! **Out-of-order events.** Histories are *mostly* append-only, but a
 //! backfilled commit or a late-arriving DDL version lands in a month that
 //! is already folded. Ingestion then:
 //!
-//! 1. re-diffs at most two deltas (the inserted version against its
-//!    predecessor, and its successor against the inserted version) — never
-//!    the whole history;
-//! 2. adjusts the affected months in the activity maps;
-//! 3. marks the earliest dirtied month and lets the next measure query
+//! 1. [`SchemaHistory::insert`] re-diffs at most two deltas (the inserted
+//!    version against its predecessor, and its successor against the
+//!    inserted version) — never the whole history;
+//! 2. marks the earliest dirtied month and lets the next measure query
 //!    replay the folds from the nearest [`MeasureFolds`] snapshot — bounded
 //!    replay, not a recompute.
 //!
@@ -35,14 +35,13 @@
 
 use coevo_core::{MeasureFolds, ProjectData, ProjectMeasures, StatsCache, StudyResults};
 use coevo_corpus::ProjectArtifacts;
-use coevo_ddl::{Dialect, ParseCache, ParseError, Schema};
-use coevo_diff::{diff_schemas_with, MatchPolicy, SchemaDelta, SchemaVersion, VersionDelta};
+use coevo_ddl::{Dialect, ParseCache, ParseError};
+use coevo_diff::{MatchPolicy, SchemaHistory, SchemaVersion, VersionDelta};
 use coevo_heartbeat::{DateTime, Heartbeat, HeartbeatError, YearMonth, MAX_HEARTBEAT_MONTHS};
 use coevo_taxa::{classify, HeartbeatFeatures, Taxon, TaxonomyConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// One unit of project history, as it happened.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,16 +166,14 @@ pub struct ProjectState {
     /// Column-matching policy every delta is diffed under.
     policy: MatchPolicy,
     cache: ParseCache,
-    /// Schema versions in the order `SchemaHistory::from_schemas` would
-    /// sort them (stable by date; equal dates in arrival order).
-    versions: Vec<SchemaVersion>,
-    /// Per-version deltas, parallel to `versions`.
-    deltas: Vec<VersionDelta>,
+    /// The DDL versions and their deltas; `None` until the first version.
+    history: Option<SchemaHistory>,
     /// Project activity per event month (months with events but zero
     /// activity are present with value 0 — they anchor the heartbeat span).
     project_months: BTreeMap<YearMonth, u64>,
-    /// Schema Total Activity per version month.
-    schema_months: BTreeMap<YearMonth, u64>,
+    /// First and last month a DDL version lands in (the schema series'
+    /// share of the month axis; its activity lives in `history`).
+    schema_span: Option<(YearMonth, YearMonth)>,
     commits: u64,
     folds: MeasureFolds,
     /// The axis start the folds were last built on; a change invalidates
@@ -192,7 +189,7 @@ impl fmt::Debug for ProjectState {
         f.debug_struct("ProjectState")
             .field("name", &self.name)
             .field("commits", &self.commits)
-            .field("versions", &self.versions.len())
+            .field("versions", &self.history.as_ref().map_or(0, SchemaHistory::commits))
             .field("months", &self.months())
             .finish()
     }
@@ -212,10 +209,9 @@ impl ProjectState {
             taxon: None,
             policy,
             cache: ParseCache::new(),
-            versions: Vec::new(),
-            deltas: Vec::new(),
+            history: None,
             project_months: BTreeMap::new(),
-            schema_months: BTreeMap::new(),
+            schema_span: None,
             commits: 0,
             folds: MeasureFolds::new(),
             folded_start: None,
@@ -244,14 +240,10 @@ impl ProjectState {
         self.commits
     }
 
-    /// Schema versions ingested so far, in history order.
-    pub fn versions(&self) -> &[SchemaVersion] {
-        &self.versions
-    }
-
-    /// The per-version deltas, parallel to [`ProjectState::versions`].
-    pub fn deltas(&self) -> &[VersionDelta] {
-        &self.deltas
+    /// The schema history ingested so far; `None` before the first DDL
+    /// version.
+    pub fn history(&self) -> Option<&SchemaHistory> {
+        self.history.as_ref()
     }
 
     /// The joint month-axis length (0 before any event).
@@ -276,14 +268,14 @@ impl ProjectState {
     /// version — the same precondition under which the batch pipeline
     /// succeeds instead of failing with an `Empty` stage error.
     pub fn is_measurable(&self) -> bool {
-        self.commits > 0 && !self.versions.is_empty()
+        self.commits > 0 && self.history.is_some()
     }
 
     /// Why the project is not measurable yet, if it isn't.
     pub fn pending_reason(&self) -> Option<&'static str> {
         if self.commits == 0 {
             Some("no commits ingested")
-        } else if self.versions.is_empty() {
+        } else if self.history.is_none() {
             Some("no DDL versions ingested")
         } else {
             None
@@ -313,66 +305,25 @@ impl ProjectState {
         let m = YearMonth::of(date.date);
         self.check_span(m)?;
 
-        // Insert after every version dated at or before this one — exactly
-        // where a stable sort by date would put an arrival-ordered sequence.
-        let i = self.versions.partition_point(|v| v.date.unix_seconds() <= date.unix_seconds());
+        self.schema_span = Some(self.schema_span.map_or((m, m), |(s, e)| (s.min(m), e.max(m))));
         let version = SchemaVersion { date, schema };
-        let delta = self.delta_against_predecessor(i, &version);
-        let breakdown = delta.breakdown();
-        self.versions.insert(i, version);
-        self.deltas.insert(i, VersionDelta { date, delta, breakdown });
-        *self.schema_months.entry(m).or_insert(0) += breakdown.total();
-        self.mark_dirty(m);
-
-        // A non-final insertion invalidates exactly one other delta: the
-        // successor was diffed against the old predecessor.
-        if i + 1 < self.versions.len() {
-            self.rediff_successor(i);
-        }
-        Ok(())
-    }
-
-    /// The delta of a version about to sit at index `i`, against the
-    /// version before it (or the empty schema). Shared-`Arc` versions are
-    /// provably inactive without a compare, as in the batch history.
-    fn delta_against_predecessor(&self, i: usize, version: &SchemaVersion) -> SchemaDelta {
-        match i.checked_sub(1).map(|p| &self.versions[p].schema) {
-            Some(prev) if Arc::ptr_eq(prev, &version.schema) => {
-                SchemaDelta { tables: Vec::new() }
-            }
-            Some(prev) => {
-                diff_schemas_with(prev.as_ref(), version.schema.as_ref(), self.policy)
+        let successor_month = match &mut self.history {
+            Some(history) => {
+                let at = history.insert(version, self.policy);
+                history.deltas().get(at + 1).map(|succ| YearMonth::of(succ.date.date))
             }
             None => {
-                diff_schemas_with(Schema::empty_ref(), version.schema.as_ref(), self.policy)
+                self.history = SchemaHistory::from_schemas(vec![version], self.policy);
+                None
             }
-        }
-    }
-
-    /// Re-diff the successor of a version just inserted at `i`, adjusting
-    /// its month's schema activity by the difference.
-    fn rediff_successor(&mut self, i: usize) {
-        let succ = &self.versions[i + 1];
-        let delta = if Arc::ptr_eq(&self.versions[i].schema, &succ.schema) {
-            SchemaDelta { tables: Vec::new() }
-        } else {
-            diff_schemas_with(
-                self.versions[i].schema.as_ref(),
-                succ.schema.as_ref(),
-                self.policy,
-            )
         };
-        let breakdown = delta.breakdown();
-        let old_total = self.deltas[i + 1].breakdown.total();
-        let date = self.deltas[i + 1].date;
-        if breakdown.total() != old_total {
-            let m = YearMonth::of(date.date);
-            let slot = self.schema_months.get_mut(&m).expect("successor month present");
-            *slot = *slot - old_total + breakdown.total();
-            self.mark_dirty(m);
+        self.mark_dirty(m);
+        // A non-final insertion re-diffed its successor against the new version.
+        if let Some(succ) = successor_month {
+            self.mark_dirty(succ);
+            self.rediffs += 1;
         }
-        self.deltas[i + 1] = VersionDelta { date, delta, breakdown };
-        self.rediffs += 1;
+        Ok(())
     }
 
     /// Reject events that would stretch the heartbeat span beyond
@@ -397,12 +348,13 @@ impl ProjectState {
     /// The joint month axis: earliest event month through latest, across
     /// both series — the batch `align_pair` axis.
     fn axis_bounds(&self) -> Option<(YearMonth, YearMonth)> {
-        let firsts = [self.project_months.keys().next(), self.schema_months.keys().next()];
-        let lasts =
-            [self.project_months.keys().next_back(), self.schema_months.keys().next_back()];
-        let start = firsts.into_iter().flatten().min()?;
-        let end = lasts.into_iter().flatten().max()?;
-        Some((*start, *end))
+        let (first, last) =
+            (self.project_months.first_key_value(), self.project_months.last_key_value());
+        let project = first.zip(last).map(|((a, _), (b, _))| (*a, *b));
+        [project, self.schema_span]
+            .into_iter()
+            .flatten()
+            .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)))
     }
 
     /// Record that month `m` no longer matches the folds. A moved axis
@@ -433,38 +385,43 @@ impl ProjectState {
         } else {
             self.folds.months()
         };
-        for i in resume..months {
+        // Schema Total Activity of the months to fold, bucketed from the
+        // history's deltas (in any order: local months need not be monotone).
+        let mut schema = vec![0u64; months.saturating_sub(resume)];
+        if !schema.is_empty() {
+            for d in self.history.iter().flat_map(SchemaHistory::deltas) {
+                let i = YearMonth::of(d.date.date).months_since(&start) as usize;
+                if let Some(slot) = i.checked_sub(resume).and_then(|j| schema.get_mut(j)) {
+                    *slot += d.breakdown.total();
+                }
+            }
+        }
+        for (i, schema) in (resume..months).zip(schema) {
             let month = start.plus(i as i64);
-            self.folds.append_month(
-                self.project_months.get(&month).copied().unwrap_or(0),
-                self.schema_months.get(&month).copied().unwrap_or(0),
-            );
+            self.folds
+                .append_month(self.project_months.get(&month).copied().unwrap_or(0), schema);
         }
         self.dirty_from = CLEAN;
     }
 
     /// The activity of the creation delta (the initial schema's size).
     fn birth_activity(&self) -> u64 {
-        self.deltas.first().map(|d| d.breakdown.total()).unwrap_or(0)
+        self.history.as_ref().map_or(0, |h| h.deltas()[0].breakdown.total())
     }
 
-    fn heartbeat_of(map: &BTreeMap<YearMonth, u64>) -> Option<Heartbeat> {
-        let first = *map.keys().next()?;
-        let last = *map.keys().next_back()?;
+    /// The project heartbeat accumulated so far.
+    pub fn project_heartbeat(&self) -> Option<Heartbeat> {
+        let map = &self.project_months;
+        let (first, last) = (*map.keys().next()?, *map.keys().next_back()?);
         let n = (last.months_since(&first) + 1) as usize;
         let activity =
             (0..n).map(|i| map.get(&first.plus(i as i64)).copied().unwrap_or(0)).collect();
         Some(Heartbeat::new(first, activity))
     }
 
-    /// The project heartbeat accumulated so far.
-    pub fn project_heartbeat(&self) -> Option<Heartbeat> {
-        Self::heartbeat_of(&self.project_months)
-    }
-
     /// The schema heartbeat accumulated so far.
     pub fn schema_heartbeat(&self) -> Option<Heartbeat> {
-        Self::heartbeat_of(&self.schema_months)
+        self.history.as_ref().map(SchemaHistory::heartbeat)
     }
 
     /// The equivalent batch input: the same [`ProjectData`] the pipeline
@@ -517,42 +474,45 @@ impl ProjectState {
             taxon: self.taxon,
             commits: self.commits,
             project_months: self.project_months.iter().map(|(&m, &a)| (m, a)).collect(),
-            versions: self.versions.clone(),
-            deltas: self.deltas.clone(),
+            versions: self.history.as_ref().map(|h| h.versions().to_vec()).unwrap_or_default(),
+            deltas: self.history.as_ref().map(|h| h.deltas().to_vec()).unwrap_or_default(),
         }
     }
 
     /// Rebuild a state from a snapshot, diffing future versions by name.
-    /// Folds are rebuilt lazily on the first measure query.
-    pub fn from_snapshot(snap: ProjectSnapshot) -> Self {
+    /// Folds are rebuilt lazily on the first measure query. `None` when the
+    /// snapshot's versions and deltas do not form a history (see
+    /// [`SchemaHistory::from_parts`]).
+    pub fn from_snapshot(snap: ProjectSnapshot) -> Option<Self> {
         Self::from_snapshot_with(snap, MatchPolicy::ByName)
     }
 
     /// Rebuild a state from a snapshot, diffing future versions under
     /// `policy`. Snapshots persist folded deltas, not the policy that
     /// produced them — the restoring study supplies its own.
-    pub fn from_snapshot_with(snap: ProjectSnapshot, policy: MatchPolicy) -> Self {
-        let mut schema_months = BTreeMap::new();
-        for d in &snap.deltas {
-            *schema_months.entry(YearMonth::of(d.date.date)).or_insert(0) +=
-                d.breakdown.total();
-        }
-        Self {
+    pub fn from_snapshot_with(snap: ProjectSnapshot, policy: MatchPolicy) -> Option<Self> {
+        let months = snap.versions.iter().map(|v| YearMonth::of(v.date.date));
+        let schema_span = months.clone().min().zip(months.max());
+        let history = if snap.versions.is_empty() && snap.deltas.is_empty() {
+            None
+        } else {
+            Some(SchemaHistory::from_parts(snap.versions, snap.deltas)?)
+        };
+        Some(Self {
             name: snap.name,
             dialect: snap.dialect,
             taxon: snap.taxon,
             policy,
             cache: ParseCache::new(),
-            versions: snap.versions,
-            deltas: snap.deltas,
+            history,
             project_months: snap.project_months.into_iter().collect(),
-            schema_months,
+            schema_span,
             commits: snap.commits,
             folds: MeasureFolds::new(),
             folded_start: None,
             dirty_from: CLEAN,
             rediffs: 0,
-        }
+        })
     }
 }
 
@@ -718,9 +678,15 @@ impl IncrementalStudy {
 
     /// Restore one project from a snapshot, replacing any existing state
     /// under the same name. Future versions diff under this study's policy.
-    pub fn restore(&mut self, snap: ProjectSnapshot) {
-        let state = ProjectState::from_snapshot_with(snap, self.policy);
+    /// Returns `false`, restoring nothing, when the snapshot's versions and
+    /// deltas do not form a history.
+    #[must_use]
+    pub fn restore(&mut self, snap: ProjectSnapshot) -> bool {
+        let Some(state) = ProjectState::from_snapshot_with(snap, self.policy) else {
+            return false;
+        };
         self.projects.insert(state.name().to_string(), state);
+        true
     }
 }
 
@@ -837,13 +803,37 @@ mod tests {
         assert!(state.replays() >= 1);
 
         // The whole history equals a batch rebuild of the same versions.
+        let history = state.history().unwrap();
         let batch = coevo_diff::SchemaHistory::from_schemas(
-            state.versions().to_vec(),
+            history.versions().to_vec(),
             coevo_diff::MatchPolicy::ByName,
         )
         .unwrap();
-        assert_eq!(state.deltas(), batch.deltas());
+        assert_eq!(history.deltas(), batch.deltas());
         assert_eq!(state.schema_heartbeat().unwrap(), batch.heartbeat());
+    }
+
+    #[test]
+    fn rediffed_successor_in_an_earlier_local_month_is_refolded() {
+        // Versions sort by instant, months bucket by local date: the late
+        // version is a May commit (+01:00) that happened before the April
+        // one (+00:00), so its successor's month precedes its own — and sits
+        // just before the fold snapshot at axis index 16, so only marking
+        // the successor's month dirty replays it.
+        let mut state = ProjectState::new("x/y", Dialect::Generic);
+        let cfg = TaxonomyConfig::default();
+        state.ingest(commit("2019-01-05 00:00:00 +0000", 3)).unwrap();
+        state.ingest(commit("2020-06-05 00:00:00 +0000", 2)).unwrap();
+        state.ingest(version("2019-01-10 00:00:00 +0000", "CREATE TABLE t (a INT);")).unwrap();
+        let abc = "CREATE TABLE t (a INT, b INT, c INT);";
+        state.ingest(version("2020-04-30 23:45:00 +0000", abc)).unwrap();
+        let _ = state.measures(&cfg);
+        state.ingest(version("2020-05-01 00:30:00 +0100", abc)).unwrap();
+        assert_eq!(state.rediffs(), 1);
+        let batch = state.data().unwrap().measures(&cfg);
+        assert_eq!(state.measures(&cfg).unwrap(), batch);
+        let activity = state.schema_heartbeat().unwrap().activity().to_vec();
+        assert_eq!((activity[0], activity[15], activity[16]), (1, 0, 2));
     }
 
     #[test]
@@ -886,12 +876,12 @@ mod tests {
 
         let json = serde_json::to_string(&state.snapshot()).unwrap();
         let snap: ProjectSnapshot = serde_json::from_str(&json).unwrap();
-        let mut restored = ProjectState::from_snapshot(snap);
+        let mut restored = ProjectState::from_snapshot(snap).expect("consistent snapshot");
         assert_eq!(restored.measures(&TaxonomyConfig::default()).unwrap(), expected);
 
         // The restored state keeps evolving: ingest one more quiet month on
         // both sides and compare against the original doing the same.
-        let last = state.versions().last().unwrap();
+        let last = state.history().unwrap().versions().last().unwrap();
         let next = last.date.date;
         let late = format!("{:04}-{:02}-01 00:00:00 +0000", next.year + 1, next.month);
         for s in [&mut state, &mut restored] {
@@ -923,7 +913,7 @@ mod tests {
         let IngestError::Ddl { project, error } = err else { panic!("expected Ddl") };
         assert_eq!(project, "x/y");
         assert!(error.line >= 1);
-        assert!(state.versions().is_empty());
+        assert!(state.history().is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! testable without a socket.
 
 use crate::protocol::{CompatAnswer, Request, Response, TaxonCount};
-use coevo_compat::{classify_step, CompatLevel};
+use coevo_compat::{classify_history, classify_step, CompatLevel, StepClassification};
 use coevo_ddl::fingerprint::content_hash;
 use coevo_ddl::Dialect;
 use coevo_diff::{diff_constraints, diff_schemas};
@@ -94,8 +94,10 @@ impl ServeState {
         };
         if let Some(dir) = store_dir {
             let store = SnapshotStore::open(dir)?;
+            // A snapshot whose versions and deltas do not pair up is
+            // skipped like a quarantined entry: re-ingestion repairs it.
             for snap in store.load_all()? {
-                state.study.restore(snap);
+                let _ = state.study.restore(snap);
             }
             state.store = Some(store);
         }
@@ -253,8 +255,7 @@ impl ServeState {
         let Some(state) = self.study.project(name) else {
             return Response::err(format!("unknown project {name:?}"));
         };
-        let versions = state.versions();
-        let Some(head) = versions.last() else {
+        let Some(history) = state.history() else {
             return Response::err(format!("project {name:?} has no DDL versions yet"));
         };
         let answer = match req.ddl.as_deref() {
@@ -263,45 +264,14 @@ impl ServeState {
                     Ok(s) => s,
                     Err(e) => return Response::err(format!("candidate DDL: {e}")),
                 };
-                let old = head.schema.as_ref();
+                let old = history.final_schema();
                 let delta = diff_schemas(old, &candidate);
                 let constraints = diff_constraints(old, &candidate);
-                let class = classify_step(&candidate, &delta, &constraints);
-                CompatAnswer {
-                    level: class.level.to_string(),
-                    rules: class.rule_names().iter().map(|r| r.to_string()).collect(),
-                    steps: 0,
-                    breaking_steps: if class.level.is_breaking() { 1 } else { 0 },
-                }
+                fold_answer(&[classify_step(&candidate, &delta, &constraints)], 0)
             }
             None => {
-                let deltas = state.deltas();
-                let mut level = CompatLevel::None;
-                let mut rules: Vec<String> = Vec::new();
-                let mut steps = 0u64;
-                let mut breaking = 0u64;
-                for i in 1..versions.len() {
-                    let old = versions[i - 1].schema.as_ref();
-                    let new = versions[i].schema.as_ref();
-                    let constraints = diff_constraints(old, new);
-                    let class = classify_step(new, &deltas[i].delta, &constraints);
-                    steps += 1;
-                    if class.level.is_breaking() {
-                        breaking += 1;
-                    }
-                    level = level.combine(class.level);
-                    for r in class.rule_names() {
-                        if !rules.iter().any(|x| x == r) {
-                            rules.push(r.to_string());
-                        }
-                    }
-                }
-                CompatAnswer {
-                    level: level.to_string(),
-                    rules,
-                    steps,
-                    breaking_steps: breaking,
-                }
+                let classes = classify_history(history);
+                fold_answer(&classes[1..], classes.len() as u64 - 1)
             }
         };
         Response { compat: Some(answer), ..Response::ok() }
@@ -350,6 +320,24 @@ impl ServeState {
             Ok(written) => Response { written: Some(written), ..Response::ok() },
             Err(e) => Response::err(e.to_string()),
         }
+    }
+}
+
+/// Fold classified steps into one answer: the lattice join of their levels,
+/// the distinct rules in first-seen order, and how many steps break.
+/// `steps` counts the history steps covered (0 for a candidate DDL).
+fn fold_answer(classes: &[StepClassification], steps: u64) -> CompatAnswer {
+    let mut rules: Vec<String> = Vec::new();
+    for r in classes.iter().flat_map(StepClassification::rule_names) {
+        if !rules.iter().any(|x| x == r) {
+            rules.push(r.to_string());
+        }
+    }
+    CompatAnswer {
+        level: classes.iter().fold(CompatLevel::None, |l, c| l.combine(c.level)).to_string(),
+        rules,
+        steps,
+        breaking_steps: classes.iter().filter(|c| c.level.is_breaking()).count() as u64,
     }
 }
 
@@ -435,6 +423,46 @@ mod tests {
         assert_eq!(answer.breaking_steps, 1);
         assert!(answer.rules.iter().any(|r| r == "attr-add-optional"));
         assert!(answer.rules.iter().any(|r| r == "attr-ejected"));
+
+        // A late middle version re-diffs its successor; the answer must
+        // equal the profile of the same versions built in one batch.
+        let late = "CREATE TABLE t (a INT, b VARCHAR(10), c INT NOT NULL);";
+        let resp = state.handle(&ingest_request(
+            "a/b",
+            vec![WireEvent::ddl("2020-02-20 00:00:00 +0000", late)],
+        ));
+        assert!(resp.ok, "{:?}", resp.error);
+        let resp =
+            state.handle(&Request { project: Some("a/b".into()), ..Request::bare("compat") });
+        let answer = resp.compat.expect("compat answer");
+        let batch = coevo_diff::SchemaHistory::from_ddl_texts(
+            [
+                ("2020-01-10 00:00:00 +0000", "CREATE TABLE t (a INT);"),
+                ("2020-02-10 00:00:00 +0000", "CREATE TABLE t (a INT, b VARCHAR(10));"),
+                ("2020-03-10 00:00:00 +0000", "CREATE TABLE t (b VARCHAR(10));"),
+                ("2020-02-20 00:00:00 +0000", late),
+            ]
+            .map(|(d, sql)| (coevo_heartbeat::DateTime::parse(d).unwrap(), sql)),
+            Dialect::Generic,
+            coevo_diff::MatchPolicy::ByName,
+        )
+        .unwrap()
+        .unwrap();
+        let profile = coevo_compat::profile_history(&batch);
+        let level = [
+            (profile.none, CompatLevel::None),
+            (profile.full, CompatLevel::Full),
+            (profile.backward, CompatLevel::Backward),
+            (profile.forward, CompatLevel::Forward),
+            (profile.breaking, CompatLevel::Breaking),
+        ]
+        .into_iter()
+        .filter(|&(n, _)| n > 0)
+        .fold(CompatLevel::None, |acc, (_, l)| acc.combine(l));
+        assert_eq!(answer.steps, 3);
+        assert_eq!(answer.steps, profile.steps as u64);
+        assert_eq!(answer.breaking_steps, profile.breaking as u64);
+        assert_eq!(answer.level, level.to_string());
     }
 
     #[test]
@@ -578,6 +606,49 @@ mod tests {
             vec![WireEvent::commit("2020-05-01 00:00:00 +0000", 1)],
         ));
         assert!(resp.ok);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inconsistent_snapshot_is_skipped_not_served() {
+        let dir = std::env::temp_dir().join(format!(
+            "coevo_serve_bad_snapshot_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut state = ServeState::open(TaxonomyConfig::default(), Some(&dir)).unwrap();
+        complete_project(&mut state, "good/one");
+        let resp = state.handle(&ingest_request(
+            "bad/one",
+            vec![
+                WireEvent::commit("2020-01-05 00:00:00 +0000", 1),
+                WireEvent::ddl("2020-01-10 00:00:00 +0000", "CREATE TABLE t (a INT);"),
+                WireEvent::ddl("2020-02-10 00:00:00 +0000", "CREATE TABLE t (a INT, b INT);"),
+            ],
+        ));
+        assert!(resp.ok, "{:?}", resp.error);
+        assert_eq!(state.handle(&Request::bare("snapshot")).written, Some(2));
+        // Hand-damage the persisted history: one delta fewer than versions.
+        let store = SnapshotStore::open(&dir).unwrap();
+        let mut bad = state.study.project("bad/one").unwrap().snapshot();
+        bad.deltas.pop();
+        store.save(&bad).unwrap();
+        drop(state);
+
+        let mut revived = ServeState::open(TaxonomyConfig::default(), Some(&dir)).unwrap();
+        assert_eq!(revived.projects(), 1);
+        let resp = revived
+            .handle(&Request { project: Some("bad/one".into()), ..Request::bare("compat") });
+        assert!(!resp.ok);
+        assert!(resp.error.unwrap().contains("unknown project"));
+        let resp = revived
+            .handle(&Request { project: Some("good/one".into()), ..Request::bare("compat") });
+        assert!(resp.ok, "{:?}", resp.error);
+        let resp = revived.handle(&Request::bare("summary"));
+        assert!(resp.ok, "{:?}", resp.error);
+        assert_eq!(resp.projects, Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
